@@ -60,13 +60,8 @@ from .protocol import (
 from .rng import RandomStream
 from .training import (
     EnsembleResult,
-    GroupState,
     TrainingTrace,
     ensemble_gain_stats,
-    feedback_update,
-    init_group,
-    perturb,
-    received_level,
     run_convergence,
     run_group_final_gains,
     train_ensemble,
@@ -83,13 +78,8 @@ __all__ = [
     "generate_channels",
     "abs_moment",
     "sign_pm",
-    "GroupState",
     "TrainingTrace",
     "EnsembleResult",
-    "init_group",
-    "perturb",
-    "received_level",
-    "feedback_update",
     "train_group",
     "train_network",
     "train_ensemble",

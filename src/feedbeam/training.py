@@ -14,9 +14,15 @@ single feedback bit per frame:
 Groups train sequentially, one block of k_o*N frames each, while all other
 groups stay silent, so a network training run is M independent group runs.
 
-``train_group`` / ``train_network`` are the readable per-trial reference
-path; ``train_ensemble`` runs many trials of the same shape in lockstep and
-is bit-identical to the reference path at batch size 1.
+``train_ensemble`` is the one training kernel: it runs B trials of the same
+shape in frame lockstep, and ``train_group`` / ``train_network`` call it at
+B = 1. The flip proposals form an iid Bernoulli(1/N) field over (frame,
+trial, source) cells. The kernel draws only the flipped cells, as geometric
+gaps between successive flips over the flat cell index (Devroye, Non-Uniform
+Random Variate Generation, 1986, ch. X), so a frame costs O(B + flips)
+instead of O(B*N): the level change of a proposal is -2 * sum over its
+flipped sources of h_j * alpha_j, and only accepted cells are touched. The
+exact Markov chain in ``markov`` is the independent check of this law.
 """
 
 from __future__ import annotations
@@ -32,13 +38,8 @@ from .rng import RandomStream
 from .util import TRAJ_CHUNK, TRIAL_CHUNK, chunk_sizes, map_chunks
 
 __all__ = [
-    "GroupState",
     "TrainingTrace",
     "EnsembleResult",
-    "init_group",
-    "perturb",
-    "received_level",
-    "feedback_update",
     "train_group",
     "train_network",
     "train_ensemble",
@@ -47,21 +48,10 @@ __all__ = [
     "ensemble_gain_stats",
 ]
 
-
-@dataclass
-class GroupState:
-    """Per-group training state: proposal weights, kept weights, best level."""
-
-    alpha: np.ndarray
-    alpha_hat: np.ndarray
-    L_max: float
-
-    def __post_init__(self) -> None:
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.alpha_hat = np.asarray(self.alpha_hat, dtype=float)
-        for name, w in (("alpha", self.alpha), ("alpha_hat", self.alpha_hat)):
-            if not np.all(np.abs(w) == 1.0):
-                raise ConfigError(f"{name} entries must be exactly -1 or +1")
+# Expected flips per block of frames drawn at once. A frame holds B expected
+# flips, so a block spans max(1, FLIP_BLOCK // B) frames and its index arrays
+# stay near 64 kB each unless B alone is larger.
+FLIP_BLOCK = 8192
 
 
 @dataclass
@@ -93,64 +83,23 @@ def _require_length(h_group: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-def init_group(
-    h_group: np.ndarray, config: NetworkConfig, rng: np.random.Generator | None = None
-) -> tuple[GroupState, float]:
-    """Step 1: all-ones weights and the initial received level.
+def _flip_cells(gen: np.random.Generator, n_cells: int, n: int) -> np.ndarray:
+    """Sorted flat indices of the flipped cells among ``n_cells`` cells.
 
-    Returns the state (alpha = alpha_hat = +1, L_max = L_rx) and L_rx =
-    sqrt(P/N) * sum_j h_j, plus an N(0, N_o/T_f) estimation error in noisy
-    mode (``rng`` required there).
+    Each cell flips independently with probability 1/n. The gaps between
+    successive flips are iid geometric(1/n), so their cumulative sums give
+    exactly the flipped cells of that Bernoulli field, each once, in
+    O(flips) draws. Gaps are drawn in batches until one passes the last
+    cell; the draws past it are discarded, which leaves later calls
+    independent of this one.
     """
-    h = _require_length(h_group, config.N)
-    ones = np.ones(config.N)
-    level = _pilot_scale(config) * float(h.sum())
-    if config.estimation_mode == "noisy":
-        if rng is None:
-            raise ConfigError("noisy estimation mode needs an rng for the level estimate")
-        level += config.estimate_std * rng.standard_normal()
-    return GroupState(alpha=ones.copy(), alpha_hat=ones, L_max=level), level
-
-
-def perturb(state: GroupState, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Step 2 proposal: flip each kept weight independently with probability 1/N.
-
-    Source j draws u_j uniform on [0, 1) and flips iff u_j < 1/N. The
-    proposal is stored in ``state.alpha`` and returned.
-    """
-    u = rng.random(n)
-    state.alpha = np.where(u < 1.0 / n, -state.alpha_hat, state.alpha_hat)
-    return state.alpha
-
-
-def received_level(
-    h_group: np.ndarray,
-    alpha: np.ndarray,
-    config: NetworkConfig,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Frame-averaged level sqrt(P/N) * sum_j h_j*alpha_j seen by the destination.
-
-    Exact in perfect mode; noisy mode adds the N(0, N_o/T_f) estimation
-    error of the per-frame average.
-    """
-    h = _require_length(h_group, config.N)
-    a = _require_length(alpha, config.N)
-    # Elementwise product + pairwise sum, matching the ensemble path bitwise.
-    level = _pilot_scale(config) * float((h * a).sum())
-    if config.estimation_mode == "noisy":
-        if rng is None:
-            raise ConfigError("noisy estimation mode needs an rng for the level estimate")
-        level += config.estimate_std * rng.standard_normal()
-    return level
-
-
-def feedback_update(state: GroupState, alpha: np.ndarray, L_rx: float) -> GroupState:
-    """Apply the 1-bit feedback: keep the proposal only on strict improvement."""
-    if L_rx > state.L_max:
-        state.alpha_hat = np.asarray(alpha, dtype=float).copy()
-        state.L_max = L_rx
-    return state
+    p = 1.0 / n
+    expected = n_cells * p
+    size = int(expected + 4.0 * expected**0.5) + 16
+    pos = np.cumsum(gen.geometric(p, size)) - 1
+    while pos[-1] < n_cells:
+        pos = np.concatenate((pos, pos[-1] + np.cumsum(gen.geometric(p, size))))
+    return pos[: np.searchsorted(pos, n_cells)]
 
 
 def train_group(
@@ -158,37 +107,19 @@ def train_group(
 ) -> tuple[np.ndarray, TrainingTrace]:
     """Run one full training block and return the final weights plus trace.
 
-    Frame 0 initializes, frames 1 .. k_o*N - 1 iterate perturb ->
-    received_level -> feedback_update; k_o*N frames are consumed in total.
-    This is the per-trial reference path; the random draws match
-    ``train_ensemble`` at batch size 1 exactly.
+    Frame 0 initializes, frames 1 .. k_o*N - 1 propose, measure and keep or
+    discard; k_o*N frames are consumed in total. This is ``train_ensemble``
+    at batch size 1 with every frame recorded.
     """
     h = _require_length(h_group, config.N)
-    total = config.block_frames
-    gen_u = stream.child("perturb").generator()
-    noisy = config.estimation_mode == "noisy"
-    gen_w = stream.child("noise").generator() if noisy else None
-
-    state, _ = init_group(h, config, rng=gen_w)
-    gain = np.empty(total)
-    aligned = np.empty(total, dtype=np.int32)
-    accepted = np.zeros(total, dtype=bool)
-    gain[0] = float((h * state.alpha_hat).sum())
-    aligned[0] = int((h * state.alpha_hat > 0).sum())
-
-    for t in range(1, total):
-        alpha = perturb(state, config.N, gen_u)
-        level = received_level(h, alpha, config, rng=gen_w)
-        old = state.L_max
-        feedback_update(state, alpha, level)
-        accepted[t] = level > old
-        gain[t] = float((h * state.alpha_hat).sum())
-        aligned[t] = int((h * state.alpha_hat > 0).sum())
-
+    res = train_ensemble(h[np.newaxis, :], config, stream, record_trace=True)
     trace = TrainingTrace(
-        frames=np.arange(total), gain=gain, aligned_count=aligned, accepted=accepted
+        frames=res.frames,
+        gain=res.gain[0],
+        aligned_count=res.aligned_count[0],
+        accepted=res.accepted[0],
     )
-    return state.alpha_hat.copy(), trace
+    return res.weights[0], trace
 
 
 def train_network(
@@ -242,9 +173,12 @@ def train_ensemble(
 ) -> EnsembleResult:
     """Train B trials with per-trial channels H (B, N) in frame lockstep.
 
-    Uniform flips come from ``stream.child("perturb")`` and noisy-mode
-    estimation errors from ``stream.child("noise")``, one frame at a time,
-    so a batch of size 1 reproduces ``train_group`` bit for bit.
+    Flipped cells come from ``stream.child("perturb")`` (see
+    ``_flip_cells``), drawn ahead in blocks of frames since proposals never
+    depend on the state; noisy-mode estimation errors come from
+    ``stream.child("noise")``, B normals at initialization and B per frame.
+    Recorded gains are kept incrementally; ``final_gain`` is recomputed from
+    the final weights, free of accumulated rounding.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[1] != config.N:
@@ -263,6 +197,7 @@ def train_ensemble(
     sigma = config.estimate_std
 
     A = np.ones((B, N))
+    a_flat = A.reshape(-1)
     gain = H.sum(axis=1)
     best = scale * gain
     if noisy:
@@ -273,39 +208,56 @@ def train_ensemble(
         rec_gain = np.empty((B, rec_frames.size))
         rec_aligned = np.empty((B, rec_frames.size), dtype=np.int32)
         rec_accepted = np.zeros((B, rec_frames.size), dtype=bool)
+        aligned = (H > 0).sum(axis=1)
         rec_gain[:, 0] = gain
-        rec_aligned[:, 0] = (H * A > 0).sum(axis=1)
+        rec_aligned[:, 0] = aligned
     next_rec = 1
 
-    flip_p = 1.0 / N
-    for t in range(1, total):
-        u = gen_u.random((B, N))
-        flips = u < flip_p
-        A_prop = np.where(flips, -A, A)
-        gain_prop = (H * A_prop).sum(axis=1)
-        level = scale * gain_prop
-        if noisy:
-            level = level + sigma * gen_w.standard_normal(B)
-        acc = level > best
-        A = np.where(acc[:, np.newaxis], A_prop, A)
-        gain = np.where(acc, gain_prop, gain)
-        best = np.where(acc, level, best)
-        if record_trace and next_rec < rec_frames.size and t == rec_frames[next_rec]:
-            rec_gain[:, next_rec] = gain
-            rec_aligned[:, next_rec] = (H * A > 0).sum(axis=1)
-            rec_accepted[:, next_rec] = acc
-            next_rec += 1
+    frame_cells = B * N
+    block = max(1, FLIP_BLOCK // max(B, 1))
+    for t0 in range(1, total, block):
+        n_block = min(block, total - t0)
+        cells = _flip_cells(gen_u, n_block * frame_cells, N)
+        bounds = np.searchsorted(cells, np.arange(n_block + 1) * frame_cells)
+        cells %= frame_cells
+        rows = cells // N
+        h_cells = H[rows, cells - rows * N]
+        for k in range(n_block):
+            lo, hi = bounds[k], bounds[k + 1]
+            cell, row = cells[lo:hi], rows[lo:hi]
+            ha = h_cells[lo:hi] * a_flat[cell]
+            delta = -2.0 * np.bincount(row, weights=ha, minlength=B)
+            if noisy:
+                level = scale * (gain + delta) + sigma * gen_w.standard_normal(B)
+                acc = level > best
+                best = np.where(acc, level, best)
+            else:
+                acc = delta > 0
+            gain = np.where(acc, gain + delta, gain)
+            hit = acc[row]
+            a_flat[cell[hit]] *= -1.0
+            if record_trace:
+                # A flipped source leaves alignment if h*a was > 0 and joins if < 0.
+                aligned -= np.bincount(row[hit], weights=np.sign(ha[hit]), minlength=B).astype(
+                    aligned.dtype
+                )
+                if next_rec < rec_frames.size and t0 + k == rec_frames[next_rec]:
+                    rec_gain[:, next_rec] = gain
+                    rec_aligned[:, next_rec] = aligned
+                    rec_accepted[:, next_rec] = acc
+                    next_rec += 1
 
+    final_gain = (H * A).sum(axis=1)
     if record_trace:
         return EnsembleResult(
             weights=A,
-            final_gain=gain,
+            final_gain=final_gain,
             frames=rec_frames,
             gain=rec_gain,
             aligned_count=rec_aligned,
             accepted=rec_accepted,
         )
-    return EnsembleResult(weights=A, final_gain=gain)
+    return EnsembleResult(weights=A, final_gain=final_gain)
 
 
 @dataclass
@@ -417,14 +369,15 @@ def _gain_stats_chunk(
     chunk_index: int,
     size: int,
     t_list: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[int, np.ndarray, np.ndarray]:
     n_frames = max(t_list) + 1
     H = np.broadcast_to(h, (size, h.size))
     res = train_ensemble(
         H, config, stream.child(f"chunk/{chunk_index}"), n_frames=n_frames, record_trace=True
     )
     g = res.gain[:, list(t_list)]
-    return g.sum(axis=0), np.einsum("ij,ij->j", g, g)
+    mean = g.mean(axis=0)
+    return size, mean, ((g - mean) ** 2).sum(axis=0)
 
 
 def ensemble_gain_stats(
@@ -438,8 +391,11 @@ def ensemble_gain_stats(
     """Monte Carlo mean and standard error of the gain at given frames.
 
     Runs ``n_traj`` training trajectories for one fixed channel vector and
-    returns (mean, stderr) arrays aligned with ``t_list``. Used to check the
-    simulator against the exact chain.
+    returns (mean, stderr) arrays aligned with ``t_list``; stderr is the
+    population standard deviation over sqrt(n_traj). Per-chunk counts,
+    means and squared-deviation sums are merged pairwise (Chan, Golub &
+    LeVeque), which stays accurate where the mean dwarfs the spread. Used to
+    check the simulator against the exact chain.
     """
     h = np.asarray(h, dtype=float)
     tl = tuple(int(t) for t in t_list)
@@ -448,9 +404,11 @@ def ensemble_gain_stats(
         for c, size in enumerate(chunk_sizes(n_traj, TRAJ_CHUNK))
     ]
     parts = map_chunks(_gain_stats_chunk, tasks, workers)
-    s1 = np.sum([p[0] for p in parts], axis=0)
-    s2 = np.sum([p[1] for p in parts], axis=0)
-    mean = s1 / n_traj
-    var = np.maximum(s2 / n_traj - mean**2, 0.0)
-    stderr = np.sqrt(var / n_traj)
-    return mean, stderr
+    n, mean, m2 = parts[0]
+    for n_b, mean_b, m2_b in parts[1:]:
+        d = mean_b - mean
+        n_ab = n + n_b
+        mean = mean + d * (n_b / n_ab)
+        m2 = m2 + m2_b + d**2 * (n * n_b / n_ab)
+        n = n_ab
+    return mean, np.sqrt(m2) / n

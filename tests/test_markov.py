@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from feedbeam import (
     expected_gain_exact,
     gain_distribution,
     one_step_absorb_probability,
+    train_ensemble,
 )
 from feedbeam.markov import absorbing_matches_sign
+from feedbeam.util import TRAJ_CHUNK, chunk_sizes
 
 
 def brute_force_transition(h):
@@ -199,7 +202,24 @@ def test_simulator_matches_exact_chain(make_config):
     model = build_markov(h)
     cfg = make_config(N=4, seed=53)
     t_list = [1, 5, 20]
-    mean, err = ensemble_gain_stats(h, t_list, 20_000, cfg, RandomStream(53, "mc"))
+    n_traj = 20_000  # more than one chunk of trajectories
+    assert n_traj > TRAJ_CHUNK
+    mean, err = ensemble_gain_stats(h, t_list, n_traj, cfg, RandomStream(53, "mc"))
     for k, t in enumerate(t_list):
         exact = expected_gain_exact(model, t)
         assert abs(mean[k] - exact) <= 3.0 * err[k] + 1e-9
+    # The merged chunk moments equal those of the pooled trajectories.
+    pooled = np.concatenate(
+        [
+            train_ensemble(
+                np.broadcast_to(h, (size, h.size)),
+                cfg,
+                RandomStream(53, "mc").child(f"chunk/{c}"),
+                n_frames=max(t_list) + 1,
+                record_trace=True,
+            ).gain[:, t_list]
+            for c, size in enumerate(chunk_sizes(n_traj, TRAJ_CHUNK))
+        ]
+    )
+    assert np.allclose(mean, pooled.mean(axis=0), rtol=1e-12, atol=0)
+    assert np.allclose(err, pooled.std(axis=0) / math.sqrt(n_traj), rtol=1e-12, atol=0)

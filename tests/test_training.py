@@ -1,39 +1,22 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from feedbeam import (
     ChannelRealization,
     DimensionError,
-    GroupState,
     RandomStream,
     abs_moment,
-    feedback_update,
-    init_group,
-    perturb,
-    received_level,
     run_convergence,
     run_group_final_gains,
     train_ensemble,
     train_group,
     train_network,
 )
-
-
-class FixedUniforms:
-    """Generator stand-in replaying a given uniform vector."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def random(self, n):
-        assert n == self.values.size
-        return self.values
-
-
-def fresh_state(n):
-    return GroupState(alpha=np.ones(n), alpha_hat=np.ones(n), L_max=0.0)
+from feedbeam.training import _flip_cells
 
 
 # ---------------------------------------------------------------------------
@@ -41,97 +24,139 @@ def fresh_state(n):
 
 
 def test_init_level_is_scaled_channel_sum(make_config):
+    # Perfect mode: frame 0 holds all-ones weights and the channel sum.
     cfg = make_config(N=3, P=3.0)
-    state, level = init_group(np.array([1.0, -2.0, 0.5]), cfg)
-    assert level == pytest.approx(-0.5)  # sqrt(P/N) = 1
-    assert state.L_max == level
-    assert np.array_equal(state.alpha_hat, np.ones(3))
-    assert np.array_equal(state.alpha, np.ones(3))
+    H = np.array([[1.0, -2.0, 0.5], [0.25, 0.5, -1.5]])
+    res = train_ensemble(H, cfg, RandomStream(cfg.seed, "init"), n_frames=1, record_trace=True)
+    assert np.array_equal(res.weights, np.ones((2, 3)))
+    assert res.gain[:, 0] == pytest.approx([-0.5, -0.75])
+    assert np.array_equal(res.final_gain, res.gain[:, 0])
+    assert list(res.aligned_count[:, 0]) == [2, 2]
+    assert not res.accepted.any()
+    # Noisy mode at N=1, replayed draw for draw: every frame flips the one
+    # source, and the proposal is kept iff sqrt(P/N) * (its gain) plus that
+    # frame's estimation error beats the stored best level, which starts at
+    # sqrt(P/N) * h plus the first error.
+    cfg = make_config(N=1, P=2.0, T_f=4, N_o=1.0, estimation_mode="noisy")
+    h = np.linspace(-1.0, 1.0, 201)
+    stream = RandomStream(cfg.seed, "init-noise")
+    res = train_ensemble(h[:, np.newaxis], cfg, stream, n_frames=3, record_trace=True)
+    noise = stream.child("noise").generator()
+    scale, sigma = math.sqrt(2.0), 0.5
+    a = np.ones(h.size)
+    best = scale * h + sigma * noise.standard_normal(h.size)
+    for t in (1, 2):
+        level = scale * -(h * a) + sigma * noise.standard_normal(h.size)
+        keep = level > best
+        assert 0 < keep.sum() < h.size
+        assert np.array_equal(res.accepted[:, t], keep)
+        a = np.where(keep, -a, a)
+        best = np.where(keep, level, best)
+    assert np.array_equal(res.weights[:, 0], a)
 
 
 def test_init_single_source(make_config):
     cfg = make_config(N=1, P=1.0)
-    state, level = init_group(np.array([0.7]), cfg)
-    assert level == pytest.approx(0.7)
-    assert np.array_equal(state.alpha_hat, [1.0])
+    res = train_ensemble(np.array([[0.7]]), cfg, RandomStream(cfg.seed, "one"), n_frames=1)
+    assert res.final_gain == pytest.approx([0.7])
+    assert np.array_equal(res.weights, [[1.0]])
 
 
-def test_init_noisy_estimate_moments(make_config):
-    # Estimation error is N(0, N_o/T_f): variance 0.01 at T_f=100, N_o=1.
-    cfg = make_config(N=3, P=3.0, T_f=100, N_o=1.0, estimation_mode="noisy")
-    gen = RandomStream(cfg.seed, "init-noise").generator()
-    levels = np.array([init_group(np.array([1.0, -2.0, 0.5]), cfg, rng=gen)[1] for _ in range(100_000)])
-    assert abs(levels.mean() + 0.5) < 0.001
-    assert abs(levels.var() - 0.01) < 0.0005
+def test_noisy_single_source_first_frame_accept_probability(make_config):
+    # N=1 flips every frame, so frame 1 proposes -h against the stored +h:
+    # accepted iff sqrt(P/N)*(-h) + sigma*z1 > sqrt(P/N)*h + sigma*z0, which
+    # for h < 0 has probability Phi(sqrt(2) * sqrt(P/N) * |h| / sigma). A
+    # wrong level scale or noise variance, or a reused estimation error,
+    # moves the rate by many standard errors.
+    cfg = make_config(N=1, P=1.0, T_f=4, N_o=1.0, estimation_mode="noisy")
+    trials, h = 100_000, -0.2
+    H = np.full((trials, 1), h)
+    stream = RandomStream(cfg.seed, "noisy-accept")
+    res = train_ensemble(H, cfg, stream, n_frames=2, record_trace=True)
+    target = NormalDist().cdf(math.sqrt(2.0) * abs(h) / cfg.estimate_std)
+    rate = res.accepted[:, 1].mean()
+    assert abs(rate - target) < 4.0 * math.sqrt(target * (1.0 - target) / trials)
+    assert np.array_equal(res.weights[:, 0] < 0, res.accepted[:, 1])
 
 
 def test_init_rejects_wrong_length(make_config):
+    cfg = make_config(N=3)
     with pytest.raises(DimensionError):
-        init_group(np.ones(4), make_config(N=3))
+        train_group(np.ones(4), cfg, RandomStream(0, "x"))
+    with pytest.raises(DimensionError):
+        train_ensemble(np.ones((2, 4)), cfg, RandomStream(0, "x"))
 
 
 # ---------------------------------------------------------------------------
-# step 2: perturbation, level estimate, feedback
+# step 2: flip proposals and the accept rule
 
 
 def test_perturb_flips_deterministically_at_single_source():
-    state = fresh_state(1)
-    gen = RandomStream(0, "p").generator()
-    alpha = perturb(state, 1, gen)
-    assert np.array_equal(alpha, [-1.0])  # flip probability 1/N = 1
+    # Flip probability 1/N = 1: every cell flips, each once.
+    cells = _flip_cells(RandomStream(0, "p").generator(), 5000, 1)
+    assert np.array_equal(cells, np.arange(5000))
 
 
 def test_perturb_applies_flip_rule_elementwise():
-    # u < 1/3 flips: uniforms (0.3, 0.005, 0.7) -> flips at j=0 and j=1.
-    state = fresh_state(3)
-    alpha = perturb(state, 3, FixedUniforms([0.3, 0.005, 0.7]))
-    assert np.array_equal(alpha, [-1.0, -1.0, 1.0])
-    assert np.array_equal(state.alpha, alpha)
+    # Cells come out sorted and distinct, inside the block, and uniform over
+    # the sources of a frame and over the trials of a block.
+    n, trials, frames = 7, 40, 300
+    gen = RandomStream(5, "cells").generator()
+    per_source = np.zeros(n)
+    per_trial = np.zeros(trials)
+    for _ in range(10):
+        cells = _flip_cells(gen, frames * trials * n, n)
+        assert np.all(np.diff(cells) > 0)
+        assert cells[0] >= 0 and cells[-1] < frames * trials * n
+        per_source += np.bincount(cells % n, minlength=n)
+        per_trial += np.bincount(cells // n % trials, minlength=trials)
+    assert stats.chisquare(per_source).pvalue > 1e-3
+    assert stats.chisquare(per_trial).pvalue > 1e-3
 
 
 def test_perturb_expected_flip_count_is_one():
-    n, trials = 10, 10_000
+    # Flips per (frame, trial) follow Binomial(N, 1/N), mean 1, across
+    # repeated block draws from one generator.
+    n, groups = 10, 4000
     gen = RandomStream(3, "flips").generator()
-    state = fresh_state(n)
-    flips = 0
-    for _ in range(trials):
-        alpha = perturb(state, n, gen)
-        flips += int((alpha != state.alpha_hat).sum())
-    rate = flips / trials
-    assert abs(rate - 1.0) < 4.0 * math.sqrt(n * (1 / n) * (1 - 1 / n) / trials)
+    counts = np.concatenate(
+        [np.bincount(_flip_cells(gen, groups * n, n) // n, minlength=groups) for _ in range(10)]
+    )
+    assert abs(counts.mean() - 1.0) < 4.0 * math.sqrt((1 - 1 / n) / counts.size)
+    k_max = 4  # pool the tail k >= 4
+    observed = np.bincount(np.minimum(counts, k_max), minlength=k_max + 1)
+    pmf = stats.binom.pmf(np.arange(k_max), n, 1 / n)
+    expected = counts.size * np.append(pmf, 1.0 - pmf.sum())
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
 def test_received_level_exact_values(make_config):
+    # Frame 1 from all-ones weights at h = (1, -2, 0.5), gain -0.5. Of the
+    # eight flip sets, exactly the four that flip source 1 raise the level:
+    # {1} -> 3.5, {0,1} -> 1.5, {1,2} -> 2.5, {0,1,2} -> 0.5. The empty set
+    # ties and every other set lowers it, so those keep the weights.
     cfg = make_config(N=3, P=3.0)
+    trials = 30_000
     h = np.array([1.0, -2.0, 0.5])
-    assert received_level(h, np.ones(3), cfg) == pytest.approx(-0.5)
-    aligned = np.array([1.0, -1.0, 1.0])
-    assert received_level(h, aligned, cfg) == pytest.approx(3.5)  # sum |h|
-
-
-def test_received_level_noise_variance(make_config):
-    cfg = make_config(N=2, P=2.0, T_f=25, N_o=2.0, estimation_mode="noisy")
-    h = np.array([0.3, -1.1])
-    exact = float(h.sum())
-    gen = RandomStream(cfg.seed, "level-noise").generator()
-    errs = np.array(
-        [received_level(h, np.ones(2), cfg, rng=gen) - exact for _ in range(100_000)]
-    )
-    target = cfg.N_o / cfg.T_f
-    assert abs(errs.var() - target) / target < 0.05
-
-
-def test_feedback_update_accept_and_reject():
-    state = GroupState(alpha=np.ones(2), alpha_hat=np.ones(2), L_max=1.0)
-    feedback_update(state, np.array([-1.0, 1.0]), 1.5)
-    assert np.array_equal(state.alpha_hat, [-1.0, 1.0])
-    assert state.L_max == 1.5
-    # Ties reject: state unchanged.
-    feedback_update(state, np.array([1.0, 1.0]), 1.5)
-    assert np.array_equal(state.alpha_hat, [-1.0, 1.0])
-    feedback_update(state, np.array([1.0, 1.0]), 0.2)
-    assert np.array_equal(state.alpha_hat, [-1.0, 1.0])
-    assert state.L_max == 1.5
+    H = np.broadcast_to(h, (trials, 3))
+    res = train_ensemble(H, cfg, RandomStream(cfg.seed, "levels"), n_frames=2, record_trace=True)
+    acc = res.accepted[:, 1]
+    assert np.array_equal(res.weights[~acc], np.ones(((~acc).sum(), 3)))
+    assert np.all(res.gain[~acc, 1] == -0.5)
+    # kept weights -> (gain, probability of that flip set at p = 1/3)
+    outcomes = {
+        (1.0, -1.0, 1.0): (3.5, 4 / 27),
+        (-1.0, -1.0, 1.0): (1.5, 2 / 27),
+        (1.0, -1.0, -1.0): (2.5, 2 / 27),
+        (-1.0, -1.0, -1.0): (0.5, 1 / 27),
+    }
+    seen = np.zeros(trials, dtype=bool)
+    for weights, (gain, prob) in outcomes.items():
+        rows = np.all(res.weights == weights, axis=1)
+        assert np.all(res.gain[rows, 1] == gain)
+        assert abs(rows.mean() - prob) < 4.0 * math.sqrt(prob * (1 - prob) / trials)
+        seen |= rows
+    assert np.array_equal(seen, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +165,8 @@ def test_feedback_update_accept_and_reject():
 
 def test_train_group_single_source_full_enumeration(make_config):
     # N=1: frame 1 flips with probability 1 and 0.7 > -0.7 is accepted;
-    # afterwards every proposal flips back and is rejected.
+    # afterwards every proposal flips back and is rejected, so the feedback
+    # rule's accept and reject branches both show in one trace.
     cfg = make_config(N=1, P=1.0, k_o=6.0, seed=9)
     weights, trace = train_group(np.array([-0.7]), cfg, RandomStream(cfg.seed, "t"))
     assert np.array_equal(weights, [-1.0])
@@ -240,6 +266,26 @@ def test_final_weight_signs_are_symmetric(make_config):
     res = train_ensemble(h, cfg, RandomStream(cfg.seed, "train"))
     share = (res.weights > 0).mean(axis=0)
     assert np.all(np.abs(share - 0.5) < 4.0 * math.sqrt(0.25 / cfg.trials))
+    # final_gain is recomputed from the weights, not carried across frames.
+    assert np.array_equal(res.final_gain, (h * res.weights).sum(axis=1))
+
+
+def test_ensemble_trace_matches_recount_at_every_recorded_frame(make_config):
+    # Recorded gains and aligned counts are kept incrementally. A run cut
+    # after frame t draws the same proposals as the full run up to t, so its
+    # final weights give a recount at every recorded frame.
+    for mode in ("perfect", "noisy"):
+        cfg = make_config(N=5, k_o=8.0, seed=131, estimation_mode=mode, T_f=10)
+        H = RandomStream(cfg.seed, "h").generator().standard_normal((30, cfg.N))
+        stream = RandomStream(cfg.seed, "recount")
+        for decimation in (1, 3):
+            res = train_ensemble(H, cfg, stream, record_trace=True, decimation=decimation)
+            for k, t in enumerate(res.frames):
+                cut = train_ensemble(H, cfg, stream, n_frames=t + 1)
+                assert np.array_equal(res.aligned_count[:, k], (H * cut.weights > 0).sum(axis=1))
+                assert np.allclose(res.gain[:, k], cut.final_gain, rtol=1e-12, atol=0)
+            assert res.frames[-1] == cfg.block_frames - 1
+            assert np.allclose(res.gain[:, -1], res.final_gain, rtol=1e-12, atol=0)
 
 
 def test_run_convergence_reaches_ceiling_quickly(make_config):
