@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -15,6 +17,9 @@ ESTIMATION_MODES = ("perfect", "noisy")
 # Fields that may be omitted from a config document; everything else is a
 # physics/protocol parameter and silent defaults would corrupt reproduction.
 _OPTIONAL_DEFAULTS: dict[str, Any] = {"estimation_mode": "perfect", "trials": 1}
+# Bools are rejected for both kinds even though Python counts them as ints.
+_INT_FIELDS = ("M", "N", "T_f", "seed", "trials")
+_REAL_FIELDS = ("P", "N_o", "k_o", "epsilon_o", "delta")
 
 
 @dataclass(frozen=True)
@@ -63,30 +68,26 @@ class NetworkConfig:
         self.validate()
 
     def validate(self) -> None:
-        if not isinstance(self.M, int) or self.M < 1:
-            raise ConfigError(f"M must be an integer >= 1, got {self.M!r}")
-        if not isinstance(self.N, int) or self.N < 1:
-            raise ConfigError(f"N must be an integer >= 1, got {self.N!r}")
-        if not self.P > 0:
-            raise ConfigError(f"P must be > 0, got {self.P!r}")
-        if not self.N_o > 0:
-            raise ConfigError(f"N_o must be > 0, got {self.N_o!r}")
-        if not isinstance(self.T_f, int) or self.T_f < 1:
-            raise ConfigError(f"T_f must be an integer >= 1, got {self.T_f!r}")
-        if not self.k_o > 0:
-            raise ConfigError(f"k_o must be > 0, got {self.k_o!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            # Compared, not converted, so that an int beyond float range cannot overflow.
+            finite = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+            if isinstance(value, bool) or not finite:
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            if name != "epsilon_o" and not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value!r}")
         if not 0.0 <= self.epsilon_o < 1.0:
             raise ConfigError(f"epsilon_o must be in [0, 1), got {self.epsilon_o!r}")
-        if not self.delta > 0:
-            raise ConfigError(f"delta must be > 0, got {self.delta!r}")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.estimation_mode not in ESTIMATION_MODES:
             raise ConfigError(
                 f"estimation_mode must be one of {ESTIMATION_MODES}, got {self.estimation_mode!r}"
             )
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
 
     @property
     def block_frames(self) -> int:
@@ -127,7 +128,6 @@ class NetworkConfig:
             raise ConfigError(f"missing config key(s): {', '.join(missing)}")
         values = dict(_OPTIONAL_DEFAULTS)
         values.update(doc)
-        for name in ("P", "N_o", "k_o", "epsilon_o", "delta"):
-            if isinstance(values[name], (int, float)) and not isinstance(values[name], bool):
-                values[name] = float(values[name])
-        return cls(**values)
+        config = cls(**values)
+        # Real fields hold floats even when the document gives integers.
+        return config.replace(**{name: float(getattr(config, name)) for name in _REAL_FIELDS})

@@ -141,6 +141,32 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("P", "100"),
+        pytest.param("P", 10**400, id="P-int-beyond-float"),
+        ("N_o", None),
+        ("k_o", math.inf),
+        ("epsilon_o", math.nan),
+        ("delta", -math.inf),
+        ("N", True),
+        ("M", True),
+        ("T_f", 50.0),
+        ("seed", False),
+        ("trials", True),
+    ],
+)
+def test_mistyped_config_field_exit_code(tmp_path, capsys, field, value):
+    doc = base_doc(**{field: value})
+    doc["command"] = "bounds"
+    path = write_doc(tmp_path, doc)
+    assert main(["--config", path, "--out", str(tmp_path / "out.json")]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-config"
+    assert field in err["message"]
+
+
 def test_unwritable_path_exit_code(tmp_path, capsys):
     doc = base_doc(N=50, M=2, epsilon_o=0.05)
     doc["command"] = "bounds"

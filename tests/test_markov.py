@@ -1,9 +1,9 @@
-import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve
 
 from feedbeam import (
     CapacityError,
@@ -17,7 +17,7 @@ from feedbeam import (
     one_step_absorb_probability,
     train_ensemble,
 )
-from feedbeam.markov import absorbing_matches_sign
+from feedbeam.markov import BLOCK, WINDOW, absorbing_matches_sign
 from feedbeam.util import TRAJ_CHUNK, chunk_sizes
 
 
@@ -167,26 +167,72 @@ def test_absorption_time_agrees_with_simulation():
     assert abs(times.mean() - mean) < 3.5 * times.std() / np.sqrt(times.size)
 
 
-def test_implicit_path_matches_dense():
-    model = build_markov(RandomStream(43, "h").generator().standard_normal(6))
-    implicit = dataclasses.replace(model, transition=None)
-    for t in (0, 1, 7, 25):
-        assert np.allclose(
-            gain_distribution(model, t), gain_distribution(implicit, t), atol=1e-13
-        )
-    mean_d, by_d = absorption_time_stats(model)
-    mean_i, by_i = absorption_time_stats(implicit)
-    assert mean_i == pytest.approx(mean_d, rel=1e-8)
-    assert np.allclose(by_i, by_d, rtol=1e-8, atol=1e-8)
+def _assert_matches_dense_reference(model):
+    """Gain-ordered passes against repeated dist @ T and a dense solve.
+
+    The last horizon takes two forward passes of WINDOW steps or fewer.
+    """
+    dist = np.zeros(model.n_states)
+    dist[model.start_index] = 1.0
+    for t in range(WINDOW + 45):
+        if t in (0, 1, 7, 25, 50, WINDOW, WINDOW + 44):
+            assert np.allclose(gain_distribution(model, t), dist, rtol=0, atol=1e-13)
+        dist = dist @ model.transition
+    transient = np.setdiff1d(np.arange(model.n_states), [model.absorbing_index])
+    Q = model.transition[np.ix_(transient, transient)]
+    tau_ref = np.zeros(model.n_states)
+    tau_ref[transient] = solve(np.eye(transient.size) - Q, np.ones(transient.size))
+    mean, tau = absorption_time_stats(model)
+    assert tau[model.absorbing_index] == 0.0
+    assert mean == pytest.approx(tau_ref[model.start_index], rel=1e-8)
+    assert np.allclose(tau, tau_ref, rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_gain_ordered_passes_match_dense_reference(n):
+    # N=6 fits in one block; at N=10 the states span 1024 / BLOCK blocks.
+    _assert_matches_dense_reference(
+        build_markov(RandomStream(43, "h").generator().standard_normal(n))
+    )
+
+
+def test_gain_ties_across_block_edges():
+    # Magnitudes from {1, 2, 3} make large classes of exactly tied gains.
+    gen = RandomStream(59, "ties").generator()
+    h = gen.choice([1.0, 2.0, 3.0], size=10) * np.repeat([-1.0, 1.0], [7, 3])
+    model = build_markov(h)
+    values, sizes = np.unique(model.gains, return_counts=True)
+    # A tie class larger than a block spans a block edge however the blocks
+    # fall; this one is also reachable from the start state.
+    assert np.any((sizes > BLOCK) & (values >= model.gains[model.start_index]))
+    tied = model.gains[:, np.newaxis] == model.gains
+    np.fill_diagonal(tied, False)
+    assert np.all(model.transition[tied] == 0.0)
+    _assert_matches_dense_reference(model)
+    mean, _ = absorption_time_stats(build_markov([1.0, 1.0, 1.0]))
+    assert mean == 0.0
 
 
 def test_large_n_builds_without_dense_matrix():
-    model = build_markov(RandomStream(47, "h").generator().standard_normal(11))
+    model = build_markov(RandomStream(47, "h").generator().standard_normal(12))
     assert model.transition is None
-    dist = gain_distribution(model, 1)
-    assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+    dist = gain_distribution(model, 50)
     assert np.all(dist >= 0)
-    assert expected_gain_exact(model, 1) >= expected_gain_exact(model, 0)
+    assert abs(dist.sum() - 1.0) <= 1e-12
+    means = [expected_gain_exact(model, t) for t in (1, 10, 50)]
+    assert means[0] <= means[1] <= means[2]
+    # tau = 1 + T tau at every transient state, with row s of T applied
+    # mask by mask: s moves to s ^ m iff that strictly raises the gain.
+    _, tau = absorption_time_stats(model)
+    assert tau[model.absorbing_index] == 0.0
+    masks = np.arange(model.n_states)
+    worst = 0.0
+    for s in np.delete(masks, model.absorbing_index):
+        targets = s ^ masks
+        moved = model.gains[targets] > model.gains[s]
+        t_tau = model.mask_prob @ np.where(moved, tau[targets], tau[s])
+        worst = max(worst, abs(1.0 + t_tau - tau[s]) / tau[s])
+    assert worst < 1e-9
 
 
 def test_capacity_and_degeneracy_guards():
