@@ -17,7 +17,7 @@ from .config import NetworkConfig
 from .errors import DimensionError
 from .rng import RandomStream
 
-__all__ = ["ChannelRealization", "generate_channels", "abs_moment", "sign_pm"]
+__all__ = ["ChannelRealization", "generate_channels", "link_amplitudes", "abs_moment", "sign_pm"]
 
 
 def sign_pm(x: np.ndarray | float) -> np.ndarray:
@@ -63,6 +63,16 @@ def generate_channels(config: NetworkConfig, stream: RandomStream) -> ChannelRea
     """
     gen = stream.generator()
     return ChannelRealization(gen.standard_normal((config.M, config.M, config.N)))
+
+
+def link_amplitudes(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Amplitudes c[..., i, r] = h[..., i, r, :] . w[..., r, :] of R groups.
+
+    ``h`` is (..., I, M, N) for I destinations and ``w`` is (..., R, N) for
+    the first R <= M groups; the result is (..., I, R). Leading axes index
+    trials and broadcast.
+    """
+    return np.einsum("...irj,...rj->...ir", h[..., : w.shape[-2], :], w)
 
 
 def abs_moment() -> float:

@@ -28,7 +28,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,27 +42,6 @@ from .rng import RandomStream
 from .training import ensemble_gain_stats, run_convergence
 
 __all__ = ["COMMANDS", "ExperimentSpec", "load_config", "loads_config", "serialize", "run", "main"]
-
-COMMANDS = (
-    "convergence",
-    "markov-verify",
-    "bounds",
-    "outage",
-    "interference-probe",
-    "protocol-compare",
-)
-
-_DEFAULT_FORMAT = {
-    "convergence": "csv",
-    "markov-verify": "csv",
-    "bounds": "json",
-    "outage": "csv",
-    "interference-probe": "csv",
-    "protocol-compare": "json",
-}
-
-# Commands whose artifact schema has no N column cannot sweep N.
-_SWEEPABLE = ("bounds", "outage", "interference-probe", "protocol-compare")
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -90,8 +69,9 @@ class ExperimentSpec:
     format: str | None = None
 
     def resolved(self) -> "ExperimentSpec":
-        """Fill per-command defaults for format and output path."""
-        fmt = self.format or _DEFAULT_FORMAT.get(self.command or "", "csv")
+        """Validate, then fill per-command defaults for format and output path."""
+        validate_spec(self)
+        fmt = self.format or _TABLE[self.command].default_format
         out = self.output_path or f"{self.command}.{fmt}"
         return dataclasses.replace(self, format=fmt, output_path=out)
 
@@ -167,7 +147,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise UnknownCommandError(
             f"unknown command {spec.command!r}; expected one of: {', '.join(COMMANDS)}"
         )
-    if spec.sweep is not None and spec.command not in _SWEEPABLE:
+    if spec.sweep is not None and not _TABLE[spec.command].sweepable:
         raise ConfigError(f"command {spec.command!r} does not support an N sweep")
     if spec.command in ("bounds", "outage"):
         ceiling = epsilon_max()
@@ -220,6 +200,15 @@ def _json_text(doc: Any) -> str:
     return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
 
 
+def _records_text(spec: ExperimentSpec, columns: Sequence[str], docs: list[dict]) -> str:
+    """Text of one record per N: JSON of all fields (a list only when N is
+    swept) or CSV of ``columns``.
+    """
+    if spec.format == "json":
+        return _json_text(docs[0] if spec.sweep is None else docs)
+    return _csv_text(columns, [tuple(d[c] for c in columns) for d in docs])
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     try:
@@ -242,31 +231,30 @@ def _atomic_write(path: str, text: str) -> None:
 # command runners: each returns (artifact text, summary lines)
 
 
-def _cmd_convergence(spec: ExperimentSpec, workers: int) -> tuple[str, list[str]]:
+@dataclass(frozen=True)
+class _Flags:
+    """Command-line flags beyond the spec; each runner reads the ones it needs."""
+
+    workers: int
+    mode: str
+    sigma_source: str
+    channel: np.ndarray | None
+
+
+def _n_values(spec: ExperimentSpec) -> list[int]:
+    return list(spec.sweep) if spec.sweep else [spec.config.N]
+
+
+def _cmd_convergence(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
     cfg = spec.config
-    res = run_convergence(cfg, RandomStream(cfg.seed, "convergence"), workers=workers)
+    res = run_convergence(cfg, RandomStream(cfg.seed, "convergence"), workers=flags.workers)
     ratio = res.gain[:, :, -1].mean() / res.abs_sum.mean()
     summary = [
         f"convergence N={cfg.N} M={cfg.M} trials={cfg.trials} "
         f"frames={res.frames[-1] + 1} final_gain_ratio={ratio:.4f}"
     ]
     columns = ("trial", "group", "t", "gain", "aligned_count", "accepted")
-    if spec.format == "json":
-        doc = [
-            {
-                "trial": trial,
-                "group": group,
-                "t": int(t),
-                "gain": float(res.gain[trial, group, k]),
-                "aligned_count": int(res.aligned_count[trial, group, k]),
-                "accepted": bool(res.accepted[trial, group, k]),
-            }
-            for trial in range(cfg.trials)
-            for group in range(cfg.M)
-            for k, t in enumerate(res.frames)
-        ]
-        return _json_text(doc), summary
-    rows = (
+    rows = [
         (
             trial,
             group,
@@ -278,16 +266,16 @@ def _cmd_convergence(spec: ExperimentSpec, workers: int) -> tuple[str, list[str]
         for trial in range(cfg.trials)
         for group in range(cfg.M)
         for k, t in enumerate(res.frames)
-    )
-    return _csv_text(columns, list(rows)), summary
+    ]
+    if spec.format == "json":
+        return _json_text([dict(zip(columns, row)) for row in rows]), summary
+    return _csv_text(columns, rows), summary
 
 
-def _cmd_markov_verify(
-    spec: ExperimentSpec, workers: int, channel: np.ndarray | None
-) -> tuple[str, list[str]]:
+def _cmd_markov_verify(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
     cfg = spec.config
-    if channel is not None:
-        h = np.asarray(channel, dtype=float)
+    if flags.channel is not None:
+        h = np.asarray(flags.channel, dtype=float)
         if h.size != cfg.N:
             raise ConfigError(f"--channel has {h.size} entries but config N={cfg.N}")
     else:
@@ -302,7 +290,7 @@ def _cmd_markov_verify(
     # degenerates once every trajectory is absorbed.
     errs = np.array([m[1] for m in moments]) / math.sqrt(cfg.trials)
     sim_mean, _ = ensemble_gain_stats(
-        h, t_checks, cfg.trials, cfg, RandomStream(cfg.seed, "markov/sim"), workers=workers
+        h, t_checks, cfg.trials, cfg, RandomStream(cfg.seed, "markov/sim"), workers=flags.workers
     )
     worst = float(np.max(np.abs(sim_mean - exact) / np.maximum(errs, 1e-300)))
     summary = [
@@ -310,80 +298,63 @@ def _cmd_markov_verify(
         f"absorbing_code={model.absorbing_index} max_dev={worst:.2f} stderr units "
         f"over t={t_checks} ({cfg.trials} trajectories)"
     ]
+    columns = ("state_code", "gain", "p_to_absorbing")
+    rows = [(s, model.gains[s], p_abs[s]) for s in range(model.n_states)]
     if spec.format == "json":
         doc = {
             "N": cfg.N,
             "h": h,
             "absorbing_code": model.absorbing_index,
             "start_code": model.start_index,
-            "states": [
-                {"state_code": s, "gain": model.gains[s], "p_to_absorbing": p_abs[s]}
-                for s in range(model.n_states)
-            ],
+            "states": [dict(zip(columns, row)) for row in rows],
             "expected_gain": [
                 {"t": t, "exact": exact[k], "simulated": sim_mean[k], "stderr": errs[k]}
                 for k, t in enumerate(t_checks)
             ],
         }
         return _json_text(doc), summary
-    columns = ("state_code", "gain", "p_to_absorbing")
-    rows = [(s, model.gains[s], p_abs[s]) for s in range(model.n_states)]
     return _csv_text(columns, rows), summary
 
 
-def _cmd_bounds(spec: ExperimentSpec, workers: int) -> tuple[str, list[str]]:
-    cfg = spec.config
-    n_values = list(spec.sweep) if spec.sweep else [cfg.N]
-    reports = [outage_bound(n, cfg) for n in n_values]
+def _cmd_bounds(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
+    reports = [outage_bound(n, spec.config) for n in _n_values(spec)]
     summary = [
         f"bounds N={r.N} M={r.M} rate={r.rate:.4f} bound_finite={r.bound_finite:.4g} "
         f"bound_asymptotic={r.bound_asymptotic:.4g}"
         for r in reports
     ]
-    if spec.format == "json":
-        doc = reports[0].to_dict() if spec.sweep is None else [r.to_dict() for r in reports]
-        return _json_text(doc), summary
     columns = (
         "N", "M", "epsilon_o", "delta", "k1", "k2", "k3", "c_1", "rate",
         "term1", "term2", "term3", "bound_finite", "bound_asymptotic",
     )
-    rows = [tuple(r.to_dict()[c] for c in columns) for r in reports]
-    return _csv_text(columns, rows), summary
+    return _records_text(spec, columns, [r.to_dict() for r in reports]), summary
 
 
-def _cmd_outage(spec: ExperimentSpec, workers: int, mode: str) -> tuple[str, list[str]]:
+def _cmd_outage(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
     cfg = spec.config
-    n_values = list(spec.sweep) if spec.sweep else [cfg.N]
     results = []
-    for n in n_values:
+    for n in _n_values(spec):
         cfg_n = cfg.replace(N=n)
         rate = outage_bound(n, cfg_n).rate
-        results.append(
-            estimate_outage(
-                cfg_n, rate, mode, RandomStream(cfg.seed, f"outage/N/{n}"), workers=workers
-            )
-        )
+        stream = RandomStream(cfg.seed, f"outage/N/{n}")
+        results.append(estimate_outage(cfg_n, rate, flags.mode, stream, workers=flags.workers))
     summary = [
         f"outage N={r.N} rate={r.rate:.4f} empirical={r.outage_empirical:.6f} "
         f"(+-{r.stderr:.6f}) bound_finite={r.bound_finite:.4g} mode={r.weights_mode}"
         for r in results
     ]
-    if spec.format == "json":
-        doc = results[0].to_dict() if spec.sweep is None else [r.to_dict() for r in results]
-        return _json_text(doc), summary
     columns = (
         "N", "M", "epsilon_o", "delta", "rate", "trials", "outage_empirical",
         "stderr", "bound_finite", "bound_asymptotic", "mode",
     )
-    rows = [tuple(r.to_dict()[c] for c in columns) for r in results]
-    return _csv_text(columns, rows), summary
+    return _records_text(spec, columns, [r.to_dict() for r in results]), summary
 
 
-def _cmd_interference_probe(spec: ExperimentSpec, workers: int) -> tuple[str, list[str]]:
+def _cmd_interference_probe(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
     cfg = spec.config
-    n_values = list(spec.sweep) if spec.sweep else [cfg.N]
+    n_values = _n_values(spec)
     probe = interference_scaling_probe(
-        cfg, n_values, RandomStream(cfg.seed, "probe"), workers=workers
+        cfg, n_values, RandomStream(cfg.seed, "probe"), workers=flags.workers
     )
     summary = [
         f"interference-probe N={r.N} trials={r.trials} mean_sq={r.mean_sq:.3f} "
@@ -404,20 +375,17 @@ def _cmd_interference_probe(spec: ExperimentSpec, workers: int) -> tuple[str, li
     return _csv_text(columns, rows), summary
 
 
-def _cmd_protocol_compare(
-    spec: ExperimentSpec, workers: int, sigma_source: str
-) -> tuple[str, list[str]]:
+def _cmd_protocol_compare(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
     cfg = spec.config
     if cfg.M < 2:
         raise ConfigError("protocol-compare requires M >= 2")
-    n_values = list(spec.sweep) if spec.sweep else [cfg.N]
     rate_assumed = 1.0  # the ordering of the two protocols does not depend on R
     docs, summary = [], []
-    for n in n_values:
+    for n in _n_values(spec):
         cfg_n = cfg.replace(N=n)
-        if sigma_source == "monte-carlo":
+        if flags.sigma_source == "monte-carlo":
             est = estimate_interference_power(
-                cfg_n, RandomStream(cfg.seed, f"protocol/N/{n}"), workers=workers
+                cfg_n, RandomStream(cfg.seed, f"protocol/N/{n}"), workers=flags.workers
             )
             per_link = est.per_link
             sigma = est.mean_active
@@ -430,7 +398,7 @@ def _cmd_protocol_compare(
                 **report.to_dict(),
                 "N": n,
                 "M": cfg_n.M,
-                "sigma_source": sigma_source,
+                "sigma_source": flags.sigma_source,
                 "sigma_per_link": per_link,
                 "rate_assumed": rate_assumed,
             }
@@ -440,15 +408,29 @@ def _cmd_protocol_compare(
             f"lhs={report.condition_lhs:.4f} rhs={report.condition_rhs:.4f} "
             f"modified_better={report.modified_better}"
         )
-    if spec.format == "json":
-        doc = docs[0] if spec.sweep is None else docs
-        return _json_text(doc), summary
     columns = (
         "N", "M", "sigma_I2", "frame_ratio", "condition_lhs", "condition_rhs",
         "modified_better", "bits_modified", "bits_original", "sigma_source", "rate_assumed",
     )
-    rows = [tuple(d[c] for c in columns) for d in docs]
-    return _csv_text(columns, rows), summary
+    return _records_text(spec, columns, docs), summary
+
+
+class _Command(NamedTuple):
+    runner: Callable[[ExperimentSpec, _Flags], tuple[str, list[str]]]
+    default_format: str
+    # Commands whose artifact schema has no N column cannot sweep N.
+    sweepable: bool
+
+
+_TABLE = {
+    "convergence": _Command(_cmd_convergence, "csv", False),
+    "markov-verify": _Command(_cmd_markov_verify, "csv", False),
+    "bounds": _Command(_cmd_bounds, "json", True),
+    "outage": _Command(_cmd_outage, "csv", True),
+    "interference-probe": _Command(_cmd_interference_probe, "csv", True),
+    "protocol-compare": _Command(_cmd_protocol_compare, "json", True),
+}
+COMMANDS = tuple(_TABLE)
 
 
 def run(
@@ -458,21 +440,10 @@ def run(
     sigma_source: str = "monte-carlo",
     channel: np.ndarray | None = None,
 ) -> list[str]:
-    """Execute a validated spec, write its artifact, return the summary lines."""
-    validate_spec(spec)
+    """Validate and execute a spec, write its artifact, return the summary lines."""
     spec = spec.resolved()
-    if spec.command == "convergence":
-        text, summary = _cmd_convergence(spec, workers)
-    elif spec.command == "markov-verify":
-        text, summary = _cmd_markov_verify(spec, workers, channel)
-    elif spec.command == "bounds":
-        text, summary = _cmd_bounds(spec, workers)
-    elif spec.command == "outage":
-        text, summary = _cmd_outage(spec, workers, mode)
-    elif spec.command == "interference-probe":
-        text, summary = _cmd_interference_probe(spec, workers)
-    else:
-        text, summary = _cmd_protocol_compare(spec, workers, sigma_source)
+    flags = _Flags(workers=workers, mode=mode, sigma_source=sigma_source, channel=channel)
+    text, summary = _TABLE[spec.command].runner(spec, flags)
     _atomic_write(spec.output_path, text)
     return summary
 

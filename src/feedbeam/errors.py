@@ -18,7 +18,7 @@ class CapacityError(FeedbeamError):
 
 
 class DegenerateChannelError(FeedbeamError):
-    """A channel coefficient is exactly zero where a sign is required."""
+    """A channel coefficient is zero or non-finite, or the gains it implies overflow."""
 
 
 class DomainError(FeedbeamError):

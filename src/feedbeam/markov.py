@@ -109,11 +109,16 @@ def build_markov(h: np.ndarray) -> MarkovModel:
     n = h.size
     if n < 1 or n > STATE_LIMIT:
         raise CapacityError(f"exact chain supports 1 <= N <= {STATE_LIMIT}, got N={n}")
+    if not np.all(np.isfinite(h)):
+        raise DegenerateChannelError("channel entries must be finite")
     if np.any(h == 0.0):
         raise DegenerateChannelError("channel entries must be nonzero (sign would be degenerate)")
 
     signs = _state_signs(n)
-    gains = signs @ h
+    with np.errstate(over="ignore"):
+        gains = signs @ h
+    if not np.all(np.isfinite(gains)):
+        raise DegenerateChannelError("state gains overflow the float range")
     bits_pos = (h > 0).astype(np.int64)
     absorbing = int((bits_pos << np.arange(n)).sum())
 

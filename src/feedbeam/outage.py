@@ -9,22 +9,27 @@ Two weight modes are supported: ``trained`` runs the actual training
 algorithm per trial, ``idealized`` starts from the perfect configuration
 sign(h) and flips a uniformly random subset of exactly round(epsilon_o * N)
 sources per group, which is the premise under which the bound is derived.
+Networks come from ``training.network_chunk``: trained weights train all M
+groups, idealized weights train none and draw flips from ``chunk/{c}/flips``.
+The probe trains single-group networks against cross channels drawn from
+``chunk/{c}/cross``. SINR is read from ``channel.link_amplitudes``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .bounds import epsilon_max, outage_bound
-from .channel import ChannelRealization, sign_pm
+from .channel import ChannelRealization, link_amplitudes, sign_pm
 from .config import NetworkConfig
 from .errors import ConfigError, DimensionError, DomainError, InfeasibleEpsilonError
 from .rng import RandomStream
-from .training import train_ensemble
-from .util import TRAJ_CHUNK, TRIAL_CHUNK, chunk_sizes, map_chunks
+from .training import EnsembleResult, map_networks
+from .util import TRAJ_CHUNK, TRIAL_CHUNK
 
 __all__ = [
     "WEIGHTS_MODES",
@@ -41,7 +46,7 @@ WEIGHTS_MODES = ("trained", "idealized")
 
 @dataclass(frozen=True)
 class OutageResult:
-    """Empirical outage for one link at one rate, with the analytic bound."""
+    """Empirical outage of link 0 at one rate, with the analytic bound."""
 
     N: int
     M: int
@@ -54,7 +59,6 @@ class OutageResult:
     bound_finite: float
     bound_asymptotic: float
     weights_mode: str
-    link: int = 0
 
     def to_dict(self) -> dict:
         def jsonable(x):
@@ -72,7 +76,8 @@ class OutageResult:
             "bound_finite": jsonable(self.bound_finite),
             "bound_asymptotic": jsonable(self.bound_asymptotic),
             "mode": self.weights_mode,
-            "link": self.link,
+            # By link symmetry only link 0 is ever evaluated.
+            "link": 0,
         }
 
 
@@ -93,11 +98,16 @@ def sinr(
         raise DimensionError("weights entries must be exactly -1 or +1")
     if not 0 <= i < config.M:
         raise DimensionError(f"link index {i} out of range for M={config.M}")
+    return float(_link_sinr(channels.h[np.newaxis], w[np.newaxis], i, config)[0])
+
+
+def _link_sinr(h: np.ndarray, w: np.ndarray, i: int, config: NetworkConfig) -> np.ndarray:
+    """SINR of link i in each of B networks: h is (B, M, M, N), w is (B, M, N)."""
+    c = link_amplitudes(h[:, i : i + 1], w)[:, 0]
     scale = config.P / config.N
-    coeffs = np.einsum("rj,rj->r", channels.h[i], w)
-    signal = scale * coeffs[i] ** 2
-    interference = scale * (np.sum(coeffs**2) - coeffs[i] ** 2)
-    return float(signal / (interference + config.N_o))
+    signal = scale * c[:, i] ** 2
+    interference = scale * (np.sum(c**2, axis=1) - c[:, i] ** 2)
+    return signal / (interference + config.N_o)
 
 
 def _idealized_weights(diag: np.ndarray, n_flip: int, gen: np.random.Generator) -> np.ndarray:
@@ -112,41 +122,22 @@ def _idealized_weights(diag: np.ndarray, n_flip: int, gen: np.random.Generator) 
     return w
 
 
-def _link_outage_counts(
-    h: np.ndarray, w: np.ndarray, config: NetworkConfig, rate: float, links: list[int]
-) -> np.ndarray:
-    scale = config.P / config.N
-    threshold = 2.0 ** (2.0 * rate) - 1.0
-    counts = np.empty(len(links), dtype=np.int64)
-    for pos, i in enumerate(links):
-        coeffs = np.einsum("brj,brj->br", h[:, i], w)
-        signal = scale * coeffs[:, i] ** 2
-        interference = scale * (np.sum(coeffs**2, axis=1) - coeffs[:, i] ** 2)
-        snr = signal / (interference + config.N_o)
-        counts[pos] = int(np.count_nonzero(snr < threshold))
-    return counts
-
-
-def _outage_chunk(
-    config: NetworkConfig,
+def _outage_count(
     rate: float,
     mode: str,
-    stream: RandomStream,
-    chunk_index: int,
-    size: int,
-    links: tuple[int, ...],
-) -> np.ndarray:
-    sub = stream.child(f"chunk/{chunk_index}")
-    gen = sub.child("channels").generator()
-    h = gen.standard_normal((size, config.M, config.M, config.N))
-    diag = h[:, np.arange(config.M), np.arange(config.M), :]
+    config: NetworkConfig,
+    h: np.ndarray,
+    trained: list[EnsembleResult],
+    sub: RandomStream,
+) -> int:
+    """Trials of one chunk whose link 0 is in outage at ``rate``."""
     if mode == "idealized":
-        w = _idealized_weights(diag, config.reverse_count, sub.child("flips").generator())
+        m = np.arange(config.M)
+        w = _idealized_weights(h[:, m, m, :], config.reverse_count, sub.child("flips").generator())
     else:
-        w = np.empty((size, config.M, config.N))
-        for i in range(config.M):
-            w[:, i] = train_ensemble(diag[:, i, :], config, sub.child(f"train/group/{i}")).weights
-    return _link_outage_counts(h, w, config, rate, list(links))
+        w = np.stack([res.weights for res in trained], axis=1)
+    threshold = 2.0 ** (2.0 * rate) - 1.0
+    return int(np.count_nonzero(_link_sinr(h, w, 0, config) < threshold))
 
 
 def estimate_outage(
@@ -155,28 +146,29 @@ def estimate_outage(
     mode: str,
     stream: RandomStream,
     workers: int = 1,
-    all_links: bool = False,
-) -> OutageResult | list[OutageResult]:
+) -> OutageResult:
     """Estimate P((1/2) log2(1 + SINR) < rate) over ``config.trials`` draws.
 
-    By link symmetry only link 0 is evaluated unless ``all_links`` is set
-    (diagnostics). The matching finite-N and asymptotic bounds are attached
-    when the configuration admits them (N >= 25 and feasible epsilon_o),
-    NaN otherwise.
+    By link symmetry only link 0 is evaluated. The matching finite-N and
+    asymptotic bounds are attached when the configuration admits them
+    (N >= 25 and feasible epsilon_o), NaN otherwise.
     """
     if not rate > 0:
         raise DomainError(f"rate must be > 0, got {rate!r}")
     if mode not in WEIGHTS_MODES:
         raise ConfigError(f"weights mode must be one of {WEIGHTS_MODES}, got {mode!r}")
-    links = tuple(range(config.M)) if all_links else (0,)
     # Idealized trials are one SINR evaluation; trained trials run a full
     # training block per group, so they get much smaller work units.
-    chunk = TRAJ_CHUNK if mode == "idealized" else TRIAL_CHUNK
-    tasks = [
-        (config, rate, mode, stream, c, size, links)
-        for c, size in enumerate(chunk_sizes(config.trials, chunk))
-    ]
-    counts = np.sum(map_chunks(_outage_chunk, tasks, workers), axis=0)
+    idealized = mode == "idealized"
+    parts = map_networks(
+        partial(_outage_count, rate, mode),
+        config,
+        stream,
+        () if idealized else range(config.M),
+        workers,
+        chunk=TRAJ_CHUNK if idealized else TRIAL_CHUNK,
+    )
+    p_hat = sum(parts) / config.trials
 
     # The analytic bound needs N >= 25, a feasible epsilon_o, and k1 > k2 at
     # this finite N; the empirical estimate stands on its own otherwise.
@@ -188,26 +180,19 @@ def estimate_outage(
         except InfeasibleEpsilonError:
             pass
 
-    results = []
-    for pos, link in enumerate(links):
-        p_hat = counts[pos] / config.trials
-        results.append(
-            OutageResult(
-                N=config.N,
-                M=config.M,
-                epsilon_o=config.epsilon_o,
-                delta=config.delta,
-                rate=rate,
-                trials=config.trials,
-                outage_empirical=float(p_hat),
-                stderr=float(math.sqrt(p_hat * (1.0 - p_hat) / config.trials)),
-                bound_finite=bound_finite,
-                bound_asymptotic=bound_asym,
-                weights_mode=mode,
-                link=link,
-            )
-        )
-    return results if all_links else results[0]
+    return OutageResult(
+        N=config.N,
+        M=config.M,
+        epsilon_o=config.epsilon_o,
+        delta=config.delta,
+        rate=rate,
+        trials=config.trials,
+        outage_empirical=float(p_hat),
+        stderr=float(math.sqrt(p_hat * (1.0 - p_hat) / config.trials)),
+        bound_finite=bound_finite,
+        bound_asymptotic=bound_asym,
+        weights_mode=mode,
+    )
 
 
 @dataclass(frozen=True)
@@ -227,17 +212,15 @@ class ProbeResult:
     slope: float
 
 
-def _probe_chunk(
-    config: NetworkConfig, stream: RandomStream, chunk_index: int, size: int
+def _probe_sums(
+    config: NetworkConfig, h: np.ndarray, trained: list[EnsembleResult], sub: RandomStream
 ) -> tuple[float, float, float]:
-    sub = stream.child(f"chunk/{chunk_index}")
-    gen = sub.child("channels").generator()
-    own = gen.standard_normal((size, config.N))
-    cross = gen.standard_normal((size, config.N))
-    weights = train_ensemble(own, config, sub.child("train")).weights
-    v = np.einsum("ij,ij->i", cross, weights)
-    ctrl = cross.sum(axis=1)
-    return float(np.sum(v**2)), float(np.sum(ctrl**2)), float(np.sum(cross * weights))
+    """Sums over one chunk of single-group networks seen through a cross channel."""
+    w = trained[0].weights[:, np.newaxis]
+    cross = sub.child("cross").generator().standard_normal(h.shape)
+    v = link_amplitudes(cross, w)
+    ctrl = cross.sum(axis=-1)
+    return float(np.sum(v**2)), float(np.sum(ctrl**2)), float(np.sum(cross[:, 0] * w))
 
 
 def interference_scaling_probe(
@@ -257,12 +240,8 @@ def interference_scaling_probe(
         raise ConfigError("N_list must be nonempty")
     rows = []
     for n in N_list:
-        cfg = config.replace(N=int(n))
-        tasks = [
-            (cfg, stream.child(f"N/{n}"), c, size)
-            for c, size in enumerate(chunk_sizes(cfg.trials, TRIAL_CHUNK))
-        ]
-        parts = map_chunks(_probe_chunk, tasks, workers)
+        cfg = config.replace(M=1, N=int(n))
+        parts = map_networks(_probe_sums, cfg, stream.child(f"N/{n}"), [0], workers)
         sq = sum(p[0] for p in parts) / cfg.trials
         ctrl = sum(p[1] for p in parts) / cfg.trials
         samp = sum(p[2] for p in parts) / (cfg.trials * cfg.N)

@@ -8,6 +8,10 @@ variance requires stretching the frame by T_f^I / T_f = 1 + sigma_I^2/N_o.
 Comparing the bits delivered over the first k_o M N T_f^I slots, the
 overlapped protocol wins iff sigma_I^2 / N_o < 1 - 2/(M+1); since
 sigma_I^2 grows like (i-1) P, this fails at any reasonable SNR.
+
+sigma_I^2 at destination i is (P/N) sum_{r<i} c[i, r]^2 over the link
+amplitudes of ``channel.link_amplitudes``; the Monte Carlo estimate trains
+groups 0 .. M-2 of networks drawn by ``training.network_chunk``.
 """
 
 from __future__ import annotations
@@ -16,12 +20,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, link_amplitudes
 from .config import NetworkConfig
 from .errors import DimensionError, DomainError, StateError
 from .rng import RandomStream
-from .training import train_ensemble
-from .util import TRIAL_CHUNK, chunk_sizes, map_chunks
+from .training import EnsembleResult, map_networks
 
 __all__ = [
     "ProtocolReport",
@@ -73,8 +76,13 @@ def interference_power(
             f"weights for the {i} prior group(s) are missing: need shape (>= {i}, {config.N}), "
             f"got {w.shape}"
         )
-    coeffs = np.einsum("rj,rj->r", channels.h[i, :i, :], w[:i])
-    return float(config.P / config.N * np.sum(coeffs**2))
+    c = link_amplitudes(channels.h[np.newaxis], w[np.newaxis, :i])
+    return _prior_interference(c, i, config)
+
+
+def _prior_interference(c: np.ndarray, i: int, config: NetworkConfig) -> float:
+    """(P/N) sum over the batch and the groups r < i of c[:, i, r]^2."""
+    return config.P / config.N * float(np.sum(c[:, i, :i] ** 2))
 
 
 def frame_ratio(sigma_I2: float, N_o: float) -> float:
@@ -127,22 +135,11 @@ class InterferenceEstimate:
         return float(self.per_link[1:].mean())
 
 
-def _interference_chunk(
-    config: NetworkConfig, stream: RandomStream, chunk_index: int, size: int
+def _interference_sums(
+    config: NetworkConfig, h: np.ndarray, trained: list[EnsembleResult], sub: RandomStream
 ) -> np.ndarray:
-    sub = stream.child(f"chunk/{chunk_index}")
-    gen = sub.child("channels").generator()
-    h = gen.standard_normal((size, config.M, config.M, config.N))
-    # Only groups 0 .. M-2 ever interfere with a later group's training.
-    w = np.empty((size, config.M - 1, config.N))
-    for r in range(config.M - 1):
-        w[:, r] = train_ensemble(h[:, r, r, :], config, sub.child(f"train/group/{r}")).weights
-    sums = np.zeros(config.M)
-    scale = config.P / config.N
-    for i in range(1, config.M):
-        coeffs = np.einsum("brj,brj->br", h[:, i, :i, :], w[:, :i])
-        sums[i] = scale * float(np.sum(coeffs**2))
-    return sums
+    c = link_amplitudes(h, np.stack([res.weights for res in trained], axis=1))
+    return np.array([_prior_interference(c, i, config) for i in range(config.M)])
 
 
 def estimate_interference_power(
@@ -151,10 +148,8 @@ def estimate_interference_power(
     """Train groups over ``config.trials`` networks and average sigma_I^2 per link."""
     if config.M < 2:
         raise DomainError("interference estimation requires M >= 2")
-    tasks = [
-        (config, stream, c, size) for c, size in enumerate(chunk_sizes(config.trials, TRIAL_CHUNK))
-    ]
-    parts = map_chunks(_interference_chunk, tasks, workers)
+    # Only groups 0 .. M-2 ever interfere with a later group's training.
+    parts = map_networks(_interference_sums, config, stream, range(config.M - 1), workers)
     return InterferenceEstimate(
         per_link=np.sum(parts, axis=0) / config.trials, trials=config.trials
     )

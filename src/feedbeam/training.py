@@ -23,11 +23,16 @@ Random Variate Generation, 1986, ch. X), so a frame costs O(B + flips)
 instead of O(B*N): the level change of a proposal is -2 * sum over its
 flipped sources of h_j * alpha_j, and only accepted cells are touched. The
 exact Markov chain in ``markov`` is the independent check of this law.
+
+Monte Carlo runs over random networks share one chunk primitive,
+``network_chunk``, with a reducer per command. ``ensemble_gain_stats``
+draws no networks and keeps its own chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -52,6 +57,9 @@ __all__ = [
 # flips, so a block spans max(1, FLIP_BLOCK // B) frames and its index arrays
 # stay near 64 kB each unless B alone is larger.
 FLIP_BLOCK = 8192
+
+# reduce(config, h, trained, chunk stream) -> one chunk's result; see network_chunk.
+Reducer = Callable[[NetworkConfig, np.ndarray, list["EnsembleResult"], RandomStream], Any]
 
 
 @dataclass
@@ -260,6 +268,54 @@ def train_ensemble(
     return EnsembleResult(weights=A, final_gain=final_gain)
 
 
+def network_chunk(
+    reduce: Reducer,
+    config: NetworkConfig,
+    stream: RandomStream,
+    chunk_index: int,
+    size: int,
+    groups: Sequence[int],
+    train: dict[str, Any],
+) -> Any:
+    """Draw one chunk of networks, train the listed groups, and reduce them.
+
+    Chunk c draws its (size, M, M, N) channel tensor from
+    ``chunk/{c}/channels`` and trains group i on its own links h[:, i, i, :]
+    from ``chunk/{c}/train/group/{i}``, passing ``train`` on to
+    ``train_ensemble``. ``reduce(config, h, trained, sub)`` runs in the same
+    process, so only its result crosses back from a worker; ``sub`` is the
+    ``chunk/{c}`` stream, for draws of the reducer's own.
+    """
+    sub = stream.child(f"chunk/{chunk_index}")
+    h = sub.child("channels").generator().standard_normal((size, config.M, config.M, config.N))
+    trained = [
+        train_ensemble(h[:, i, i, :], config, sub.child(f"train/group/{i}"), **train)
+        for i in groups
+    ]
+    return reduce(config, h, trained, sub)
+
+
+def map_networks(
+    reduce: Reducer,
+    config: NetworkConfig,
+    stream: RandomStream,
+    groups: Sequence[int],
+    workers: int = 1,
+    chunk: int = TRIAL_CHUNK,
+    **train: Any,
+) -> list:
+    """``network_chunk`` over ``config.trials`` networks, one result per chunk.
+
+    ``reduce`` must be picklable (a module-level function or a partial of
+    one) so that chunks can run on a process pool.
+    """
+    tasks = [
+        (reduce, config, stream, c, size, tuple(groups), train)
+        for c, size in enumerate(chunk_sizes(config.trials, chunk))
+    ]
+    return map_chunks(network_chunk, tasks, workers)
+
+
 @dataclass
 class ConvergenceResult:
     """Traces of ``trials`` network training runs over random channels.
@@ -275,39 +331,17 @@ class ConvergenceResult:
     abs_sum: np.ndarray
 
 
-def _convergence_chunk(
-    config: NetworkConfig,
-    stream: RandomStream,
-    chunk_index: int,
-    size: int,
-    n_frames: int | None,
-    decimation: int,
+def _traces(
+    config: NetworkConfig, h: np.ndarray, trained: list[EnsembleResult], sub: RandomStream
 ) -> tuple[np.ndarray, ...]:
-    sub = stream.child(f"chunk/{chunk_index}")
-    gen = sub.child("channels").generator()
-    h = gen.standard_normal((size, config.M, config.M, config.N))
-    gains, aligned, accepted = [], [], []
-    frames = None
-    for i in range(config.M):
-        res = train_ensemble(
-            h[:, i, i, :],
-            config,
-            sub.child(f"group/{i}"),
-            n_frames=n_frames,
-            record_trace=True,
-            decimation=decimation,
-        )
-        frames = res.frames
-        gains.append(res.gain)
-        aligned.append(res.aligned_count)
-        accepted.append(res.accepted)
-    abs_sum = np.abs(h[:, np.arange(config.M), np.arange(config.M), :]).sum(axis=2)
+    """One chunk's ``ConvergenceResult`` fields, in field order."""
+    m = np.arange(config.M)
     return (
-        frames,
-        np.stack(gains, axis=1),
-        np.stack(aligned, axis=1),
-        np.stack(accepted, axis=1),
-        abs_sum,
+        trained[0].frames,
+        np.stack([res.gain for res in trained], axis=1),
+        np.stack([res.aligned_count for res in trained], axis=1),
+        np.stack([res.accepted for res in trained], axis=1),
+        np.abs(h[:, m, m, :]).sum(axis=2),
     )
 
 
@@ -319,28 +353,24 @@ def run_convergence(
     workers: int = 1,
 ) -> ConvergenceResult:
     """Train ``config.trials`` random networks and collect per-frame traces."""
-    tasks = [
-        (config, stream, c, size, n_frames, decimation)
-        for c, size in enumerate(chunk_sizes(config.trials, TRIAL_CHUNK))
-    ]
-    parts = map_chunks(_convergence_chunk, tasks, workers)
-    frames = parts[0][0]
-    return ConvergenceResult(
-        frames=frames,
-        gain=np.concatenate([p[1] for p in parts], axis=0),
-        aligned_count=np.concatenate([p[2] for p in parts], axis=0),
-        accepted=np.concatenate([p[3] for p in parts], axis=0),
-        abs_sum=np.concatenate([p[4] for p in parts], axis=0),
+    parts = map_networks(
+        _traces,
+        config,
+        stream,
+        range(config.M),
+        workers,
+        n_frames=n_frames,
+        record_trace=True,
+        decimation=decimation,
     )
+    frames, *per_trial = zip(*parts)
+    return ConvergenceResult(frames[0], *(np.concatenate(a, axis=0) for a in per_trial))
 
 
-def _final_gain_chunk(
-    config: NetworkConfig, stream: RandomStream, chunk_index: int, size: int
+def _final_gains(
+    config: NetworkConfig, h: np.ndarray, trained: list[EnsembleResult], sub: RandomStream
 ) -> tuple[np.ndarray, np.ndarray]:
-    sub = stream.child(f"chunk/{chunk_index}")
-    h = sub.child("channels").generator().standard_normal((size, config.N))
-    res = train_ensemble(h, config, sub.child("train"))
-    return res.final_gain, np.abs(h).sum(axis=1)
+    return trained[0].final_gain, np.abs(h[:, 0, 0, :]).sum(axis=1)
 
 
 def run_group_final_gains(
@@ -348,18 +378,12 @@ def run_group_final_gains(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Final gains of ``config.trials`` single-group training runs.
 
-    Each trial draws a fresh channel vector and trains one full block;
-    returns (final_gain, sum_j |h_j|) per trial, the pair needed to check
-    the epsilon-level convergence guarantee.
+    Each trial draws a fresh channel vector (a network with M = 1) and
+    trains one full block; returns (final_gain, sum_j |h_j|) per trial, the
+    pair needed to check the epsilon-level convergence guarantee.
     """
-    tasks = [
-        (config, stream, c, size) for c, size in enumerate(chunk_sizes(config.trials, TRIAL_CHUNK))
-    ]
-    parts = map_chunks(_final_gain_chunk, tasks, workers)
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-    )
+    gains, ceilings = zip(*map_networks(_final_gains, config.replace(M=1), stream, [0], workers))
+    return np.concatenate(gains), np.concatenate(ceilings)
 
 
 def _gain_stats_chunk(

@@ -298,14 +298,31 @@ def test_protocol_compare_json(tmp_path):
     assert analytic["sigma_I2"] == pytest.approx(10.0 * 4 / 2)  # P * M / 2
 
 
-def test_artifacts_are_byte_identical_across_reruns_and_workers(tmp_path):
-    doc = base_doc(N=20, trials=600, k_o=4.0)
-    doc["command"] = "interference-probe"
+# Every Monte Carlo command, each with more than one chunk so that two
+# workers really split the work.
+_REPRODUCIBLE = {
+    "convergence": (dict(M=2, N=10, trials=300, k_o=4.0), []),
+    "outage-idealized": (dict(M=2, N=50, epsilon_o=0.05, trials=20_000), []),
+    "outage-trained": (
+        dict(M=2, N=50, epsilon_o=0.05, trials=300, k_o=2.0),
+        ["--mode", "trained"],
+    ),
+    "interference-probe": (dict(N=20, trials=600, k_o=4.0), []),
+    "protocol-compare": (dict(M=3, N=16, P=10.0, trials=300, k_o=4.0), []),
+    "markov-verify": (dict(N=6, trials=20_000), ["--format", "json"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPRODUCIBLE))
+def test_artifacts_are_byte_identical_across_reruns_and_workers(tmp_path, name):
+    config, flags = _REPRODUCIBLE[name]
+    doc = base_doc(**config)
+    doc["command"] = name.removesuffix("-idealized").removesuffix("-trained")
     path = write_doc(tmp_path, doc)
-    outs = [str(tmp_path / f"probe{i}.csv") for i in range(3)]
-    assert main(["--config", path, "--out", outs[0]]) == EXIT_OK
-    assert main(["--config", path, "--out", outs[1]]) == EXIT_OK
-    assert main(["--config", path, "--out", outs[2], "--workers", "2"]) == EXIT_OK
+    outs = [str(tmp_path / f"artifact{i}") for i in range(3)]
+    assert main(["--config", path, "--out", outs[0], *flags]) == EXIT_OK
+    assert main(["--config", path, "--out", outs[1], *flags]) == EXIT_OK
+    assert main(["--config", path, "--out", outs[2], "--workers", "2", *flags]) == EXIT_OK
     blobs = [open(o, "rb").read() for o in outs]
     assert blobs[0] == blobs[1] == blobs[2]
 
@@ -335,6 +352,11 @@ def test_channel_flag_validation(tmp_path, capsys):
     assert main(["--config", path, "--channel", "1,2"]) == EXIT_CONFIG
     assert main(["--config", path, "--channel", "1,x,3"]) == EXIT_CONFIG
     capsys.readouterr()
+    for channel in ("nan,1,2", "inf,1,2", "1e308,1e308,1e308"):
+        out = tmp_path / "markov.csv"
+        assert main(["--config", path, "--out", str(out), "--channel", channel]) == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
+        assert not out.exists()
 
 
 def test_csv_floats_round_trip_losslessly(tmp_path):

@@ -240,6 +240,9 @@ def test_capacity_and_degeneracy_guards():
         build_markov(np.ones(15))
     with pytest.raises(DegenerateChannelError):
         build_markov([1.0, 0.0, -1.0])
+    for h in ([math.nan, 1.0, 2.0], [math.inf, 1.0, 2.0], [1e308, 1e308, 1e308]):
+        with pytest.raises(DegenerateChannelError):
+            build_markov(h)
 
 
 def test_simulator_matches_exact_chain(make_config):

@@ -132,11 +132,6 @@ def test_trained_mode_and_all_links(make_config):
     res = estimate_outage(cfg, rate, "trained", RandomStream(cfg.seed, "outage"))
     assert res.weights_mode == "trained"
     assert 0.0 <= res.outage_empirical <= 1.0
-    per_link = estimate_outage(
-        cfg, rate, "trained", RandomStream(cfg.seed, "outage"), all_links=True
-    )
-    assert [r.link for r in per_link] == [0, 1]
-    assert per_link[0].outage_empirical == res.outage_empirical
 
 
 def test_result_serialization_keys(make_config):

@@ -305,6 +305,23 @@ def test_run_convergence_worker_count_does_not_change_results(make_config):
     assert np.array_equal(a.abs_sum, b.abs_sum)
 
 
+def test_network_chunk_stream_layout_is_pinned(make_config):
+    # Chunk 0 redrawn by hand: its channel tensor from chunk/0/channels and
+    # group i trained from chunk/0/train/group/i. Every Monte Carlo command
+    # reads its networks through this layout.
+    cfg = make_config(M=2, N=6, k_o=3.0, seed=131, trials=5)
+    stream = RandomStream(cfg.seed, "layout")
+    res = run_convergence(cfg, stream)
+    chunk = stream.child("chunk/0")
+    h = chunk.child("channels").generator().standard_normal((cfg.trials, cfg.M, cfg.M, cfg.N))
+    for i in range(cfg.M):
+        ref = train_ensemble(
+            h[:, i, i, :], cfg, chunk.child(f"train/group/{i}"), record_trace=True
+        )
+        assert np.array_equal(res.gain[:, i], ref.gain)
+        assert np.array_equal(res.abs_sum[:, i], np.abs(h[:, i, i, :]).sum(axis=1))
+
+
 def test_run_group_final_gains_deterministic(make_config):
     cfg = make_config(N=10, k_o=5.0, seed=111, trials=300)
     g1, s1 = run_group_final_gains(cfg, RandomStream(cfg.seed, "fin"))
