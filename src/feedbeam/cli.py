@@ -14,8 +14,17 @@ An experiment is described by a JSON document::
 
 Unknown keys are rejected. ``--command``, ``--out``, ``--format`` and
 ``--seed`` override the file. Results are written atomically (temp file +
-rename) and reruns with the same spec produce byte-identical artifacts at
-any worker count.
+rename, mode 0o666 less the umask) and reruns with the same spec produce
+byte-identical artifacts at any worker count.
+
+Every CSV artifact goes through ``_csv_text``: a runner hands it a record
+array (``_table``), the writer picks one conversion per column from its
+dtype (``%d`` for bools and integers, ``%.17g`` for floats, ``_fmt_cell``
+for object columns) and formats blocks of rows with one row template.
+The ``outage`` CSV columns are ``N, M, epsilon_o, delta, rate, trials,
+outage_empirical, stderr, bound_finite, bound_asymptotic, mode, ci_low,
+ci_high``, the last two the Clopper-Pearson 95 % interval of the outage
+probability.
 """
 
 from __future__ import annotations
@@ -173,10 +182,53 @@ def _fmt_cell(x: Any) -> str:
     return str(x)
 
 
-def _csv_text(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
+# The `%` conversion of each numeric numpy dtype kind that writes a cell as
+# `_fmt_cell` does: "%.17g" % x == format(x, ".17g") for every float, and
+# "%d" % True == "1". Columns of any other kind go through `_fmt_cell`.
+_CONVERSION = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
+_BLOCK_ROWS = 8192
+
+
+def _table(columns: Sequence[str], values: Sequence[Any]) -> np.recarray:
+    """Record array with one column per entry of ``values``.
+
+    An array keeps its dtype; any other sequence of cells is kept as
+    objects, so its cells are written by `_fmt_cell` as they are.
+    """
+    arrays = [
+        v if isinstance(v, np.ndarray) else np.fromiter(v, dtype=object, count=len(v))
+        for v in values
+    ]
+    return np.rec.fromarrays(arrays, names=list(columns))
+
+
+def _csv_text(columns: Sequence[str], rows: np.recarray) -> str:
+    """CSV text of the ``columns`` of the record array ``rows``.
+
+    Each column's conversion is picked once from its dtype, and one `%` row
+    template formats blocks of rows.
+    """
+    fields, conversions = [], []
+    for name in columns:
+        col = rows[name]
+        conversion = _CONVERSION.get(col.dtype.kind)
+        if conversion is None:
+            col = np.fromiter(map(_fmt_cell, col.tolist()), dtype=object, count=len(col))
+            conversion = "%s"
+        fields.append(col)
+        conversions.append(conversion)
+    template = ",".join(conversions)
+    parts = [",".join(columns)]
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        block = zip(*(f[lo : lo + _BLOCK_ROWS].tolist() for f in fields))
+        parts.append("\n".join(map(template.__mod__, block)))
+    return "\n".join(parts) + "\n"
+
+
+def _records(rows: np.recarray) -> list[dict]:
+    """One dict per row of ``rows``, keyed by column name."""
+    names = rows.dtype.names
+    return [dict(zip(names, row)) for row in rows.tolist()]
 
 
 def _jsonable(obj: Any) -> Any:
@@ -206,15 +258,23 @@ def _records_text(spec: ExperimentSpec, columns: Sequence[str], docs: list[dict]
     """
     if spec.format == "json":
         return _json_text(docs[0] if spec.sweep is None else docs)
-    return _csv_text(columns, [tuple(d[c] for c in columns) for d in docs])
+    return _csv_text(columns, _table(columns, [[d[c] for d in docs] for c in columns]))
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and a rename.
+
+    The artifact gets the mode a plain ``open`` would give it, 0o666 less
+    the umask, not the 0o600 of the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".feedbeam-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as f:
+                os.fchmod(f.fileno(), 0o666 & ~umask)
                 f.write(text)
             os.replace(tmp, path)
         except BaseException:
@@ -254,21 +314,20 @@ def _cmd_convergence(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str
         f"frames={res.frames[-1] + 1} final_gain_ratio={ratio:.4f}"
     ]
     columns = ("trial", "group", "t", "gain", "aligned_count", "accepted")
-    rows = [
-        (
-            trial,
-            group,
-            int(t),
-            res.gain[trial, group, k],
-            res.aligned_count[trial, group, k],
-            bool(res.accepted[trial, group, k]),
-        )
-        for trial in range(cfg.trials)
-        for group in range(cfg.M)
-        for k, t in enumerate(res.frames)
-    ]
+    k = res.frames.size
+    rows = _table(
+        columns,
+        [
+            np.repeat(np.arange(cfg.trials), cfg.M * k),
+            np.tile(np.repeat(np.arange(cfg.M), k), cfg.trials),
+            np.tile(res.frames, cfg.trials * cfg.M),
+            res.gain.reshape(-1),
+            res.aligned_count.reshape(-1),
+            res.accepted.reshape(-1).astype(bool),
+        ],
+    )
     if spec.format == "json":
-        return _json_text([dict(zip(columns, row)) for row in rows]), summary
+        return _json_text(_records(rows)), summary
     return _csv_text(columns, rows), summary
 
 
@@ -299,14 +358,14 @@ def _cmd_markov_verify(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[s
         f"over t={t_checks} ({cfg.trials} trajectories)"
     ]
     columns = ("state_code", "gain", "p_to_absorbing")
-    rows = [(s, model.gains[s], p_abs[s]) for s in range(model.n_states)]
+    rows = _table(columns, [np.arange(model.n_states), model.gains, p_abs])
     if spec.format == "json":
         doc = {
             "N": cfg.N,
             "h": h,
             "absorbing_code": model.absorbing_index,
             "start_code": model.start_index,
-            "states": [dict(zip(columns, row)) for row in rows],
+            "states": _records(rows),
             "expected_gain": [
                 {"t": t, "exact": exact[k], "simulated": sim_mean[k], "stderr": errs[k]}
                 for k, t in enumerate(t_checks)
@@ -340,12 +399,13 @@ def _cmd_outage(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
         results.append(estimate_outage(cfg_n, rate, flags.mode, stream, workers=flags.workers))
     summary = [
         f"outage N={r.N} rate={r.rate:.4f} empirical={r.outage_empirical:.6f} "
-        f"(+-{r.stderr:.6f}) bound_finite={r.bound_finite:.4g} mode={r.weights_mode}"
+        f"(+-{r.stderr:.6f}, 95% CI [{r.ci_low:.6f}, {r.ci_high:.6f}]) "
+        f"bound_finite={r.bound_finite:.4g} mode={r.weights_mode}"
         for r in results
     ]
     columns = (
         "N", "M", "epsilon_o", "delta", "rate", "trials", "outage_empirical",
-        "stderr", "bound_finite", "bound_asymptotic", "mode",
+        "stderr", "bound_finite", "bound_asymptotic", "mode", "ci_low", "ci_high",
     )
     return _records_text(spec, columns, [r.to_dict() for r in results]), summary
 
@@ -369,10 +429,8 @@ def _cmd_interference_probe(spec: ExperimentSpec, flags: _Flags) -> tuple[str, l
         }
         return _json_text(doc), summary
     columns = ("N", "trials", "mean_sq", "control_sq", "sample_mean", "slope")
-    rows = [
-        (r.N, r.trials, r.mean_sq, r.control_sq, r.sample_mean, probe.slope) for r in probe.rows
-    ]
-    return _csv_text(columns, rows), summary
+    rows = [(r.N, r.trials, r.mean_sq, r.control_sq, r.sample_mean, probe.slope) for r in probe.rows]
+    return _csv_text(columns, _table(columns, list(zip(*rows)))), summary
 
 
 def _cmd_protocol_compare(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:

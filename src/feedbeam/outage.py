@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.special import betaincinv
 
 from .bounds import epsilon_max, outage_bound
 from .channel import ChannelRealization, link_amplitudes, sign_pm
@@ -34,6 +35,7 @@ from .util import TRAJ_CHUNK, TRIAL_CHUNK
 __all__ = [
     "WEIGHTS_MODES",
     "OutageResult",
+    "clopper_pearson",
     "sinr",
     "estimate_outage",
     "ProbeRow",
@@ -46,7 +48,13 @@ WEIGHTS_MODES = ("trained", "idealized")
 
 @dataclass(frozen=True)
 class OutageResult:
-    """Empirical outage of link 0 at one rate, with the analytic bound."""
+    """Empirical outage of link 0 at one rate, with the analytic bound.
+
+    ``stderr`` is the plug-in binomial standard error, 0 when no trial or
+    every trial is in outage; ``ci_low``/``ci_high`` bound the outage
+    probability with the exact (Clopper-Pearson) 95 % interval, which stays
+    informative there.
+    """
 
     N: int
     M: int
@@ -59,6 +67,8 @@ class OutageResult:
     bound_finite: float
     bound_asymptotic: float
     weights_mode: str
+    ci_low: float
+    ci_high: float
 
     def to_dict(self) -> dict:
         def jsonable(x):
@@ -76,6 +86,8 @@ class OutageResult:
             "bound_finite": jsonable(self.bound_finite),
             "bound_asymptotic": jsonable(self.bound_asymptotic),
             "mode": self.weights_mode,
+            "ci_low": self.ci_low,
+            "ci_high": self.ci_high,
             # By link symmetry only link 0 is ever evaluated.
             "link": 0,
         }
@@ -140,6 +152,17 @@ def _outage_count(
     return int(np.count_nonzero(_link_sinr(h, w, 0, config) < threshold))
 
 
+def clopper_pearson(k: int, n: int) -> tuple[float, float]:
+    """Exact two-sided 95 % interval for a binomial proportion, k successes in n.
+
+    The ends are the 0.025 quantile of Beta(k, n - k + 1) and the 0.975
+    quantile of Beta(k + 1, n - k), with 0 at k = 0 and 1 at k = n.
+    """
+    low = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, 0.025))
+    high = 1.0 if k == n else float(betaincinv(k + 1, n - k, 0.975))
+    return low, high
+
+
 def estimate_outage(
     config: NetworkConfig,
     rate: float,
@@ -168,7 +191,9 @@ def estimate_outage(
         workers,
         chunk=TRAJ_CHUNK if idealized else TRIAL_CHUNK,
     )
-    p_hat = sum(parts) / config.trials
+    count = sum(parts)
+    p_hat = count / config.trials
+    ci_low, ci_high = clopper_pearson(count, config.trials)
 
     # The analytic bound needs N >= 25, a feasible epsilon_o, and k1 > k2 at
     # this finite N; the empirical estimate stands on its own otherwise.
@@ -192,6 +217,8 @@ def estimate_outage(
         bound_finite=bound_finite,
         bound_asymptotic=bound_asym,
         weights_mode=mode,
+        ci_low=ci_low,
+        ci_high=ci_high,
     )
 
 

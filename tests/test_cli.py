@@ -1,19 +1,29 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from feedbeam import ConfigError, RandomStream, run_convergence
 from feedbeam.cli import (
+    _BLOCK_ROWS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_UNKNOWN_COMMAND,
     EXIT_UNWRITABLE,
     ExperimentSpec,
+    _atomic_write,
+    _csv_text,
+    _fmt_cell,
+    _table,
     load_config,
     loads_config,
     main,
+    run,
     serialize,
 )
 from feedbeam.config import NetworkConfig
@@ -259,15 +269,18 @@ def test_outage_command_schema_and_modes(tmp_path):
     lines = open(out).read().splitlines()
     assert lines[0] == (
         "N,M,epsilon_o,delta,rate,trials,outage_empirical,stderr,"
-        "bound_finite,bound_asymptotic,mode"
+        "bound_finite,bound_asymptotic,mode,ci_low,ci_high"
     )
-    assert lines[1].endswith("idealized")
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert row["mode"] == "idealized"
+    assert float(row["ci_low"]) <= float(row["outage_empirical"]) <= float(row["ci_high"])
+    assert float(row["ci_high"]) > 0
     out2 = str(tmp_path / "outage-trained.csv")
     doc2 = base_doc(N=50, M=2, epsilon_o=0.05, trials=500, k_o=5.0)
     doc2["command"] = "outage"
     path2 = write_doc(tmp_path, doc2, "spec2.json")
     assert main(["--config", path2, "--out", out2, "--mode", "trained"]) == EXIT_OK
-    assert open(out2).read().splitlines()[1].endswith("trained")
+    assert open(out2).read().splitlines()[1].split(",")[10] == "trained"
 
 
 def test_interference_probe_sweep(tmp_path):
@@ -372,3 +385,124 @@ def test_csv_floats_round_trip_losslessly(tmp_path):
     report = outage_bound(50, loads_config(json.dumps(doc)).config)
     for name, cell in zip(header, row):
         assert float(cell) == getattr(report, name if name != "mode" else "N")
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer and the artifact file
+
+
+def per_cell_csv(columns, rows):
+    """The writer's reference: every cell formatted on its own by `_fmt_cell`."""
+    lines = [",".join(columns)] + [",".join(_fmt_cell(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, 2.0**53 + 2, 1e17]
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+# Columns given as sequences of cells, mixed types included.
+_CELLS = {
+    "bool": st.one_of(st.booleans(), st.booleans().map(np.bool_)),
+    "int": st.one_of(
+        st.integers(),
+        st.integers(2**63 - 2, 2**65),
+        st.integers(-(2**31), 2**31 - 1).map(np.int32),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    ),
+    "float": st.one_of(_FLOATS, _FLOATS.map(np.float64)),
+    "float-or-none": st.one_of(_FLOATS, _FLOATS.map(np.float64), st.none()),
+    "str": st.text(),
+}
+_CELLS["mixed"] = st.one_of(*_CELLS.values())
+# Columns given as arrays, which keep their dtype.
+_DTYPES = ["bool", "int8", "int32", "int64", "uint64", "float32", "float64"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_csv_writer_matches_per_cell_formatting(data):
+    n_rows = data.draw(st.integers(0, 12))
+    kinds = data.draw(st.lists(st.sampled_from(sorted(_CELLS) + _DTYPES), min_size=1, max_size=6))
+    values = [
+        data.draw(arrays(kind, n_rows) if kind in _DTYPES else
+                  st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows))
+        for kind in kinds
+    ]
+    columns = [f"c{i}" for i in range(len(kinds))]
+    rows = _table(columns, values)
+    assert len(rows) == n_rows
+    assert _csv_text(columns, rows) == per_cell_csv(columns, list(zip(*values)))
+
+
+def test_csv_writer_blocks_and_array_columns():
+    n = 2 * _BLOCK_ROWS + 3
+    gen = np.random.default_rng(5)
+    gain = gen.standard_normal(n) * 1e3
+    gain[[0, _BLOCK_ROWS - 1, _BLOCK_ROWS, n - 1]] = [-0.0, math.nan, -math.inf, 5e-324]
+    values = [
+        np.arange(n, dtype=np.int32),
+        gain,
+        gen.random(n) < 0.5,
+        np.arange(n, dtype=np.uint8),
+        [None if i % 7 == 0 else float(g) for i, g in enumerate(gain)],
+        ["idealized"] * n,
+    ]
+    columns = ["trial", "gain", "accepted", "code", "bound_finite", "mode"]
+    rows = _table(columns, values)
+    text = _csv_text(columns, rows)
+    assert text == per_cell_csv(columns, list(zip(*values)))
+    assert text.count("\n") == n + 1
+    assert ",None," in text and ",-0," in text
+
+
+def test_convergence_artifacts_match_row_by_row_reference(tmp_path):
+    config = NetworkConfig(**base_doc(M=2, N=12, trials=7, k_o=3.0)["config"])
+    res = run_convergence(config, RandomStream(config.seed, "convergence"))
+    assert np.array_equal(res.frames, np.arange(config.block_frames))  # decimation 1
+    columns = ("trial", "group", "t", "gain", "aligned_count", "accepted")
+    rows = [
+        (
+            trial,
+            group,
+            int(t),
+            float(res.gain[trial, group, k]),
+            int(res.aligned_count[trial, group, k]),
+            bool(res.accepted[trial, group, k]),
+        )
+        for trial in range(config.trials)
+        for group in range(config.M)
+        for k, t in enumerate(res.frames)
+    ]
+    csv_lines = [",".join(columns)] + [
+        f"{trial},{group},{t},{format(gain, '.17g')},{count},{int(acc)}"
+        for trial, group, t, gain, count, acc in rows
+    ]
+    json_doc = [dict(zip(columns, row)) for row in rows]
+    expected = {
+        "csv": "\n".join(csv_lines) + "\n",
+        "json": json.dumps(json_doc, indent=2, sort_keys=True) + "\n",
+    }
+    for fmt, text in expected.items():
+        out = tmp_path / f"conv.{fmt}"
+        spec = ExperimentSpec("convergence", config, output_path=str(out), format=fmt)
+        run(spec)
+        assert out.read_text() == text
+
+
+def test_artifact_mode_follows_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        new_file = tmp_path / "new.json"
+        _atomic_write(str(new_file), "{}\n")
+        assert new_file.stat().st_mode & 0o777 == 0o644
+        overwritten = tmp_path / "old.json"
+        overwritten.write_text("stale")
+        overwritten.chmod(0o600)
+        _atomic_write(str(overwritten), "{}\n")
+        assert overwritten.stat().st_mode & 0o777 == 0o644
+        assert overwritten.read_text() == "{}\n"
+        os.umask(0o077)
+        _atomic_write(str(new_file), "[]\n")
+        assert new_file.stat().st_mode & 0o777 == 0o600
+    finally:
+        os.umask(old)
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".feedbeam-")]

@@ -15,7 +15,7 @@ from feedbeam import (
     sign_pm,
     sinr,
 )
-from feedbeam.outage import _idealized_weights
+from feedbeam.outage import _idealized_weights, clopper_pearson
 
 
 def test_sinr_without_interference(make_config):
@@ -84,6 +84,35 @@ def test_outage_at_extreme_rates(make_config):
         estimate_outage(cfg, 1.0, "oracle", stream)
 
 
+@pytest.mark.parametrize(
+    "k, n", [(0, 1), (1, 1), (0, 40), (1, 40), (3, 40), (39, 40), (40, 40), (17, 2000), (0, 100_000)]
+)
+def test_clopper_pearson_matches_beta_quantiles(k, n):
+    from scipy.stats import beta
+
+    low, high = clopper_pearson(k, n)
+    assert low == (0.0 if k == 0 else pytest.approx(beta.ppf(0.025, k, n - k + 1), rel=1e-10))
+    assert high == (1.0 if k == n else pytest.approx(beta.ppf(0.975, k + 1, n - k), rel=1e-10))
+    assert low <= k / n <= high
+    if k == 0:
+        # The upper end solves (1 - p)^n = 0.025.
+        assert high == pytest.approx(-math.expm1(math.log(0.025) / n), rel=1e-12)
+        assert high > 0
+
+
+def test_outage_interval_is_informative_at_zero_outages(make_config):
+    cfg = make_config(M=2, N=40, epsilon_o=0.05, trials=2000, seed=3)
+    stream = RandomStream(cfg.seed, "outage")
+    none = estimate_outage(cfg, 1e-9, "idealized", stream)
+    assert none.outage_empirical == 0.0 and none.stderr == 0.0
+    assert (none.ci_low, none.ci_high) == clopper_pearson(0, cfg.trials)
+    assert none.ci_high == pytest.approx(1 - 0.025 ** (1 / cfg.trials), rel=1e-9)
+    every = estimate_outage(cfg, 50.0, "idealized", stream)
+    assert (every.ci_low, every.ci_high) == clopper_pearson(cfg.trials, cfg.trials)
+    assert every.ci_high == 1.0 and every.ci_low < 1.0
+    assert none.to_dict()["ci_high"] == none.ci_high
+
+
 def test_outage_determinism_and_worker_independence(make_config):
     cfg = make_config(M=2, N=50, epsilon_o=0.05, trials=40_000, seed=13)
     stream = RandomStream(cfg.seed, "outage")
@@ -139,7 +168,7 @@ def test_result_serialization_keys(make_config):
     res = estimate_outage(cfg, 0.5, "idealized", RandomStream(cfg.seed, "outage"))
     assert set(res.to_dict()) == {
         "N", "M", "epsilon_o", "delta", "rate", "trials", "outage_empirical",
-        "stderr", "bound_finite", "bound_asymptotic", "mode", "link",
+        "stderr", "bound_finite", "bound_asymptotic", "mode", "link", "ci_low", "ci_high",
     }
 
 
