@@ -15,8 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from .channel import abs_moment
 from .config import NetworkConfig
@@ -49,14 +48,10 @@ def q_function(v):
 
 
 def q_inverse(p: float) -> float:
-    """Inverse of q_function on (0, 1), by safeguarded root finding.
-
-    Bisection/Brent on Q itself avoids any dependence on rational
-    approximations; accuracy is limited only by erfc itself.
-    """
+    """Inverse of q_function on (0, 1): Q^{-1}(p) = -Phi^{-1}(p), from ``ndtri``."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"q_inverse requires p in (0, 1), got {p!r}")
-    return brentq(lambda v: q_function(v) - p, -42.0, 42.0, xtol=1e-15, rtol=8.9e-16)
+    return -float(ndtri(p))
 
 
 def c_o(epsilon_o: float) -> float:
@@ -142,6 +137,30 @@ def _rate_numerator(epsilon_o: float) -> float:
     return ((1.0 - epsilon_o) * _SQRT_PI_OVER_2 / math.e - _K2_COEFF * epsilon_o) ** 2
 
 
+def _build_params(N: int, config: NetworkConfig) -> BoundParams:
+    """k1, k2, k3 and c_1 for any M; the interference terms vanish at M = 1."""
+    eps = config.epsilon_o
+    if eps >= epsilon_max():
+        raise InfeasibleEpsilonError(
+            f"epsilon_o={eps} is not feasible: must be below epsilon_max()={epsilon_max():.5f}"
+        )
+    k1, k2 = _signal_thresholds(N, eps)
+    interferers = config.M - 1
+    k3 = interferers * float(N) ** (1.0 + config.delta) + N * config.N_o / config.P
+    return BoundParams(
+        k1=k1,
+        k2=k2,
+        k3=k3,
+        c_1=_rate_numerator(eps) / max(interferers, 1),
+        epsilon_o=eps,
+        delta=config.delta,
+        M=config.M,
+        N=N,
+        P=config.P,
+        N_o=config.N_o,
+    )
+
+
 def bound_params(N: int, config: NetworkConfig) -> BoundParams:
     """Evaluate k1, k2, k3 and c_1 for an M >= 2 interference network.
 
@@ -151,26 +170,7 @@ def bound_params(N: int, config: NetworkConfig) -> BoundParams:
     """
     if config.M < 2:
         raise DomainError("bound_params requires M >= 2; the M = 1 case has no interference term")
-    eps = config.epsilon_o
-    if eps >= epsilon_max():
-        raise InfeasibleEpsilonError(
-            f"epsilon_o={eps} is not feasible: must be below epsilon_max()={epsilon_max():.5f}"
-        )
-    k1, k2 = _signal_thresholds(N, eps)
-    k3 = (config.M - 1) * float(N) ** (1.0 + config.delta) + N * config.N_o / config.P
-    c_1 = _rate_numerator(eps) / (config.M - 1)
-    return BoundParams(
-        k1=k1,
-        k2=k2,
-        k3=k3,
-        c_1=c_1,
-        epsilon_o=eps,
-        delta=config.delta,
-        M=config.M,
-        N=N,
-        P=config.P,
-        N_o=config.N_o,
-    )
+    return _build_params(N, config)
 
 
 def large_deviation_terms(N: int, params: BoundParams) -> tuple[float, float, float]:
@@ -233,35 +233,18 @@ def outage_bound(N: int, config: NetworkConfig) -> BoundReport:
     """
     if N < 25:
         raise DomainError(f"outage_bound requires N >= 25 (asymptotic regime), got {N}")
-    eps = config.epsilon_o
+    params = _build_params(N, config)
     if config.M >= 2:
-        params = bound_params(N, config)
         snr_threshold = params.c_1 * float(N) ** (1.0 - config.delta)
     else:
-        if eps >= epsilon_max():
-            raise InfeasibleEpsilonError(
-                f"epsilon_o={eps} is not feasible: must be below epsilon_max()={epsilon_max():.5f}"
-            )
-        k1, k2 = _signal_thresholds(N, eps)
-        k3 = N * config.N_o / config.P
-        params = BoundParams(
-            k1=k1,
-            k2=k2,
-            k3=k3,
-            c_1=_rate_numerator(eps),
-            epsilon_o=eps,
-            delta=config.delta,
-            M=1,
-            N=N,
-            P=config.P,
-            N_o=config.N_o,
-        )
-        snr_threshold = (k1 - k2) ** 2 / k3
+        snr_threshold = (params.k1 - params.k2) ** 2 / params.k3
     term1, term2, term3 = large_deviation_terms(N, params)
-    rate = 0.5 * math.log2(1.0 + snr_threshold)
-    asym = math.exp(-math.sqrt(N)) + math.exp(-eps * N - 2.0 * math.sqrt(N))
-    if config.M >= 2:
-        asym += 2.0 * (config.M - 1) * math.exp(-float(N) ** config.delta / 2.0)
+    eps = config.epsilon_o
+    asym = (
+        math.exp(-math.sqrt(N))
+        + math.exp(-eps * N - 2.0 * math.sqrt(N))
+        + 2.0 * (config.M - 1) * math.exp(-float(N) ** config.delta / 2.0)
+    )
     return BoundReport(
         N=N,
         M=config.M,
@@ -271,7 +254,7 @@ def outage_bound(N: int, config: NetworkConfig) -> BoundReport:
         k2=params.k2,
         k3=params.k3,
         c_1=params.c_1,
-        rate=rate,
+        rate=0.5 * math.log2(1.0 + snr_threshold),
         term1=term1,
         term2=term2,
         term3=term3,

@@ -499,6 +499,8 @@ def run(
     channel: np.ndarray | None = None,
 ) -> list[str]:
     """Validate and execute a spec, write its artifact, return the summary lines."""
+    if not workers >= 1:
+        raise ConfigError(f"workers must be >= 1, got {workers!r}")
     spec = spec.resolved()
     flags = _Flags(workers=workers, mode=mode, sigma_source=sigma_source, channel=channel)
     text, summary = _TABLE[spec.command].runner(spec, flags)

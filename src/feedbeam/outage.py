@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 from scipy.special import betaincinv
 
-from .bounds import epsilon_max, outage_bound
+from .bounds import outage_bound
 from .channel import ChannelRealization, link_amplitudes, sign_pm
 from .config import NetworkConfig
 from .errors import ConfigError, DimensionError, DomainError, InfeasibleEpsilonError
@@ -123,14 +123,17 @@ def _link_sinr(h: np.ndarray, w: np.ndarray, i: int, config: NetworkConfig) -> n
 
 
 def _idealized_weights(diag: np.ndarray, n_flip: int, gen: np.random.Generator) -> np.ndarray:
-    """sign(h) with exactly n_flip uniformly chosen sources flipped per row."""
+    """sign(h) with exactly n_flip uniformly chosen sources flipped per row.
+
+    The flipped sources of a row are its n_flip smallest uniforms; they are
+    negated in place.
+    """
     w = sign_pm(diag)
     if n_flip > 0:
         u = gen.random(diag.shape)
         order = np.argpartition(u, n_flip - 1, axis=-1)[..., :n_flip]
-        mult = np.ones_like(w)
-        np.put_along_axis(mult, order, -1.0, axis=-1)
-        w = w * mult
+        del u
+        np.put_along_axis(w, order, -np.take_along_axis(w, order, axis=-1), axis=-1)
     return w
 
 
@@ -144,8 +147,8 @@ def _outage_count(
 ) -> int:
     """Trials of one chunk whose link 0 is in outage at ``rate``."""
     if mode == "idealized":
-        m = np.arange(config.M)
-        w = _idealized_weights(h[:, m, m, :], config.reverse_count, sub.child("flips").generator())
+        own = np.moveaxis(np.diagonal(h, axis1=1, axis2=2), -1, 1)
+        w = _idealized_weights(own, config.reverse_count, sub.child("flips").generator())
     else:
         w = np.stack([res.weights for res in trained], axis=1)
     threshold = 2.0 ** (2.0 * rate) - 1.0
@@ -173,8 +176,8 @@ def estimate_outage(
     """Estimate P((1/2) log2(1 + SINR) < rate) over ``config.trials`` draws.
 
     By link symmetry only link 0 is evaluated. The matching finite-N and
-    asymptotic bounds are attached when the configuration admits them
-    (N >= 25 and feasible epsilon_o), NaN otherwise.
+    asymptotic bounds are attached when ``outage_bound`` admits the
+    configuration, NaN otherwise.
     """
     if not rate > 0:
         raise DomainError(f"rate must be > 0, got {rate!r}")
@@ -197,13 +200,11 @@ def estimate_outage(
 
     # The analytic bound needs N >= 25, a feasible epsilon_o, and k1 > k2 at
     # this finite N; the empirical estimate stands on its own otherwise.
-    bound_finite = bound_asym = float("nan")
-    if config.N >= 25 and config.epsilon_o < epsilon_max():
-        try:
-            report = outage_bound(config.N, config)
-            bound_finite, bound_asym = report.bound_finite, report.bound_asymptotic
-        except InfeasibleEpsilonError:
-            pass
+    try:
+        report = outage_bound(config.N, config)
+        bound_finite, bound_asym = report.bound_finite, report.bound_asymptotic
+    except (DomainError, InfeasibleEpsilonError):
+        bound_finite = bound_asym = float("nan")
 
     return OutageResult(
         N=config.N,

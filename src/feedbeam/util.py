@@ -8,6 +8,7 @@ serially or on a process pool.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
@@ -33,9 +34,11 @@ def map_chunks(worker: Callable[..., T], tasks: Sequence[tuple], workers: int = 
     """Run ``worker(*task)`` for every task, preserving task order.
 
     ``worker`` must be a module-level function with picklable arguments so
-    the same code path works on a process pool.
+    the same code path works on a process pool. The pool holds at most one
+    process per task and per CPU.
     """
-    if workers <= 1 or len(tasks) <= 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, *zip(*tasks)))

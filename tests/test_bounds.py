@@ -20,7 +20,7 @@ from feedbeam import (
     q_function,
     q_inverse,
 )
-from feedbeam.bounds import _signal_thresholds
+from feedbeam.bounds import _rate_numerator, _signal_thresholds
 
 
 def half_normal_pdf(x):
@@ -56,6 +56,10 @@ def test_q_roundtrip_property():
     )
     for p in ps:
         assert abs(q_function(q_inverse(float(p))) - p) < 1e-10
+    # Deep tail: Q has relative condition number about v^2 < 1400 there, so
+    # the round trip holds to a relative tolerance of a few 1e-13.
+    for p in np.logspace(-300, -20, 57):
+        assert q_function(q_inverse(float(p))) == pytest.approx(p, rel=1e-11, abs=0.0)
 
 
 def test_q_inverse_domain():
@@ -249,11 +253,21 @@ def test_smaller_delta_trades_rate_for_interference_margin(make_config):
 
 
 def test_outage_bound_single_group(make_config):
-    report = outage_bound(200, make_config(M=1, epsilon_o=0.05, P=10.0, N_o=1.0))
+    n, eps = 200, 0.05
+    report = outage_bound(n, make_config(M=1, epsilon_o=eps, P=10.0, N_o=1.0))
     assert report.term3 == 0.0
     assert report.bound_finite == pytest.approx(report.term1 + report.term2, rel=1e-12)
-    assert report.k3 == pytest.approx(200 * 1.0 / 10.0)
+    # No interference: k3 is the noise term alone and c_1 is not divided.
+    assert report.k3 == n * 1.0 / 10.0
+    k1, k2 = _signal_thresholds(n, eps)
+    assert (report.k1, report.k2) == (k1, k2)
+    assert report.c_1 == _rate_numerator(eps)
+    gap = (1 - eps) * math.sqrt(math.pi / 2) / math.e - math.sqrt(2 * (1 + math.log(2))) * eps
+    assert report.c_1 == pytest.approx(gap**2, rel=1e-14)
+    assert report.rate == 0.5 * math.log2(1.0 + (k1 - k2) ** 2 / report.k3)
     assert report.rate > 0
+    signal_only = math.exp(-math.sqrt(n)) + math.exp(-eps * n - 2 * math.sqrt(n))
+    assert report.bound_asymptotic == signal_only
 
 
 def test_outage_bound_guards(make_config):

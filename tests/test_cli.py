@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import feedbeam
 from feedbeam import ConfigError, RandomStream, run_convergence
 from feedbeam.cli import (
     _BLOCK_ROWS,
@@ -184,6 +188,40 @@ def test_unwritable_path_exit_code(tmp_path, capsys):
     out = str(tmp_path / "no-such-dir" / "x.json")
     assert main(["--config", path, "--out", out]) == EXIT_UNWRITABLE
     assert json.loads(capsys.readouterr().err)["error"] == "unwritable-path"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_exit_code(tmp_path, capsys, workers):
+    doc = base_doc(N=50, M=2, epsilon_o=0.05)
+    doc["command"] = "bounds"
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "bounds.json"
+    assert main(["--config", path, "--out", str(out), "--workers", workers]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-config"
+    assert "workers" in err["message"]
+    assert not out.exists()
+
+
+def test_bounds_run_does_not_import_scipy_optimize(tmp_path):
+    doc = base_doc(N=50, M=1, epsilon_o=0.05)
+    doc["command"] = "bounds"
+    path = write_doc(tmp_path, doc)
+    out = str(tmp_path / "bounds.json")
+    code = (
+        "import sys\n"
+        "import feedbeam.cli\n"
+        f"code = feedbeam.cli.main(['--config', {path!r}, '--out', {out!r}])\n"
+        "print(code, 'scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(feedbeam.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,10 @@ def test_idealized_weights_flip_exact_count():
     # flipped subsets vary across trials
     patterns = {tuple((w[t, 0] != sign_pm(diag[t, 0])).nonzero()[0]) for t in range(400)}
     assert len(patterns) > 50
+    # The flipped sources of each row are its 4 smallest uniforms.
+    u = RandomStream(7, "flips").generator().random(diag.shape)
+    smallest = u <= np.sort(u, axis=-1)[..., 3:4]
+    np.testing.assert_array_equal(w, np.where(smallest, -sign_pm(diag), sign_pm(diag)))
 
 
 def test_outage_at_extreme_rates(make_config):
