@@ -94,6 +94,8 @@ def loads_config(text: str) -> ExperimentSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}")
+    except (ValueError, RecursionError) as e:  # an over-long integer, too deep a nesting
+        raise ConfigError(f"config parse error: {e}")
     if not isinstance(doc, dict):
         raise ConfigError("experiment document must be a JSON object")
     unknown = sorted(set(doc) - set(_TOP_LEVEL_KEYS))
@@ -158,6 +160,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
         )
     if spec.sweep is not None and not _TABLE[spec.command].sweepable:
         raise ConfigError(f"command {spec.command!r} does not support an N sweep")
+    if spec.sweep is not None and len(set(spec.sweep)) < len(spec.sweep):
+        raise ConfigError(f"sweep entries must be distinct, got {list(spec.sweep)!r}")
     if spec.command in ("bounds", "outage"):
         ceiling = epsilon_max()
         if not spec.config.epsilon_o < ceiling:
@@ -391,12 +395,15 @@ def _cmd_bounds(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
 
 def _cmd_outage(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
     cfg = spec.config
-    results = []
-    for n in _n_values(spec):
-        cfg_n = cfg.replace(N=n)
-        rate = outage_bound(n, cfg_n).rate
-        stream = RandomStream(cfg.seed, f"outage/N/{n}")
-        results.append(estimate_outage(cfg_n, rate, flags.mode, stream, workers=flags.workers))
+    points = [cfg.replace(N=n) for n in _n_values(spec)]
+    # Every point's bound, and so its feasibility, is settled before any Monte Carlo runs.
+    rates = [outage_bound(p.N, p).rate for p in points]
+    results = [
+        estimate_outage(
+            p, rate, flags.mode, RandomStream(cfg.seed, f"outage/N/{p.N}"), workers=flags.workers
+        )
+        for p, rate in zip(points, rates)
+    ]
     summary = [
         f"outage N={r.N} rate={r.rate:.4f} empirical={r.outage_empirical:.6f} "
         f"(+-{r.stderr:.6f}, 95% CI [{r.ci_low:.6f}, {r.ci_high:.6f}]) "

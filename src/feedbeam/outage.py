@@ -6,13 +6,13 @@ P((1/2) log2(1 + SINR) < R) over random channel draws and compares it with
 the closed-form bound, and probes how the interference power scales with N.
 
 Two weight modes are supported: ``trained`` runs the actual training
-algorithm per trial, ``idealized`` starts from the perfect configuration
-sign(h) and flips a uniformly random subset of exactly round(epsilon_o * N)
-sources per group, which is the premise under which the bound is derived.
-Networks come from ``training.network_chunk``: trained weights train all M
-groups, idealized weights train none and draw flips from ``chunk/{c}/flips``.
-The probe trains single-group networks against cross channels drawn from
-``chunk/{c}/cross``. SINR is read from ``channel.link_amplitudes``.
+algorithm, ``idealized`` starts from sign(h) with exactly round(epsilon_o * N)
+uniformly chosen sources reversed per group, the premise of the bound.
+Outage draws only what link 0's SINR depends on: its own link from one-group
+``training.network_chunk`` networks (group 0 trained in trained mode) and
+M-1 interfering amplitudes from their exact N(0, N) law under
+``chunk/{c}/cross``, where the probe draws its cross channels too. SINR
+comes from link amplitudes by one formula, ``_link_sinr``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .bounds import outage_bound
-from .channel import ChannelRealization, link_amplitudes, sign_pm
+from .channel import ChannelRealization, link_amplitudes
 from .config import NetworkConfig
 from .errors import ConfigError, DimensionError, DomainError, InfeasibleEpsilonError
 from .rng import RandomStream
@@ -110,49 +110,40 @@ def sinr(
         raise DimensionError("weights entries must be exactly -1 or +1")
     if not 0 <= i < config.M:
         raise DimensionError(f"link index {i} out of range for M={config.M}")
-    return float(_link_sinr(channels.h[np.newaxis], w[np.newaxis], i, config)[0])
+    return float(_link_sinr(link_amplitudes(channels.h[i : i + 1], w)[0], i, config))
 
 
-def _link_sinr(h: np.ndarray, w: np.ndarray, i: int, config: NetworkConfig) -> np.ndarray:
-    """SINR of link i in each of B networks: h is (B, M, M, N), w is (B, M, N)."""
-    c = link_amplitudes(h[:, i : i + 1], w)[:, 0]
+def _link_sinr(c: np.ndarray, i: int, config: NetworkConfig) -> np.ndarray:
+    """SINR of link i from its amplitudes c[..., r] = h[i, r, :] . w[r] of every group r."""
     scale = config.P / config.N
-    signal = scale * c[:, i] ** 2
-    interference = scale * (np.sum(c**2, axis=1) - c[:, i] ** 2)
+    signal = scale * c[..., i] ** 2
+    interference = scale * (np.sum(c**2, axis=-1) - c[..., i] ** 2)
     return signal / (interference + config.N_o)
-
-
-def _idealized_weights(diag: np.ndarray, n_flip: int, gen: np.random.Generator) -> np.ndarray:
-    """sign(h) with exactly n_flip uniformly chosen sources flipped per row.
-
-    The flipped sources of a row are its n_flip smallest uniforms; they are
-    negated in place.
-    """
-    w = sign_pm(diag)
-    if n_flip > 0:
-        u = gen.random(diag.shape)
-        order = np.argpartition(u, n_flip - 1, axis=-1)[..., :n_flip]
-        del u
-        np.put_along_axis(w, order, -np.take_along_axis(w, order, axis=-1), axis=-1)
-    return w
 
 
 def _outage_count(
     rate: float,
     mode: str,
+    M: int,
     config: NetworkConfig,
     h: np.ndarray,
     trained: list[EnsembleResult],
     sub: RandomStream,
 ) -> int:
-    """Trials of one chunk whose link 0 is in outage at ``rate``."""
+    """Trials of one chunk of one-group networks whose link 0, among M groups, is in outage."""
     if mode == "idealized":
-        own = np.moveaxis(np.diagonal(h, axis1=1, axis2=2), -1, 1)
-        w = _idealized_weights(own, config.reverse_count, sub.child("flips").generator())
+        a = np.abs(h[:, 0, 0, :])
+        # A uniform k-subset of the iid |h_j|, chosen apart from h, has the law of the first k.
+        s = a.sum(axis=1) - 2.0 * a[:, : config.reverse_count].sum(axis=1)
     else:
-        w = np.stack([res.weights for res in trained], axis=1)
+        s = link_amplitudes(h, trained[0].weights[:, np.newaxis])[:, 0, 0]
+    # Group r's weights depend only on h[r, r, :] and its own training, both
+    # independent of h[0, r, :], and negating N(0, 1) entries keeps them N(0, 1):
+    # so c[0, r] = h[0, r, :] . w[r] is N(0, N) for r != 0, iid and apart from s.
+    cross = math.sqrt(config.N) * sub.child("cross").generator().standard_normal((s.size, M - 1))
+    c = np.concatenate((s[:, np.newaxis], cross), axis=1)
     threshold = 2.0 ** (2.0 * rate) - 1.0
-    return int(np.count_nonzero(_link_sinr(h, w, 0, config) < threshold))
+    return int(np.count_nonzero(_link_sinr(c, 0, config) < threshold))
 
 
 def clopper_pearson(k: int, n: int) -> tuple[float, float]:
@@ -175,7 +166,8 @@ def estimate_outage(
 ) -> OutageResult:
     """Estimate P((1/2) log2(1 + SINR) < rate) over ``config.trials`` draws.
 
-    By link symmetry only link 0 is evaluated. The matching finite-N and
+    By link symmetry only link 0 is evaluated, from its own link and M-1
+    interfering amplitudes (see ``_outage_count``). The matching finite-N and
     asymptotic bounds are attached when ``outage_bound`` admits the
     configuration, NaN otherwise.
     """
@@ -184,13 +176,13 @@ def estimate_outage(
     if mode not in WEIGHTS_MODES:
         raise ConfigError(f"weights mode must be one of {WEIGHTS_MODES}, got {mode!r}")
     # Idealized trials are one SINR evaluation; trained trials run a full
-    # training block per group, so they get much smaller work units.
+    # training block, so they get much smaller work units.
     idealized = mode == "idealized"
     parts = map_networks(
-        partial(_outage_count, rate, mode),
-        config,
+        partial(_outage_count, rate, mode, config.M),
+        config.replace(M=1),
         stream,
-        () if idealized else range(config.M),
+        () if idealized else [0],
         workers,
         chunk=TRAJ_CHUNK if idealized else TRIAL_CHUNK,
     )
@@ -261,7 +253,7 @@ def interference_scaling_probe(
     cross channels over a range of N and fit the log-log slope.
 
     The trained weights are independent of the cross channel and sign
-    flips preserve the N(0, 1) law, so the expectation equals N and the
+    changes preserve the N(0, 1) law, so the expectation equals N and the
     fitted slope should be 1.
     """
     if not N_list:

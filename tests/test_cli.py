@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import feedbeam
-from feedbeam import ConfigError, RandomStream, run_convergence
+from feedbeam import ConfigError, RandomStream, epsilon_max, run_convergence
 from feedbeam.cli import (
     _BLOCK_ROWS,
+    _TABLE,
+    COMMANDS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_UNKNOWN_COMMAND,
@@ -30,7 +33,7 @@ from feedbeam.cli import (
     run,
     serialize,
 )
-from feedbeam.config import NetworkConfig
+from feedbeam.config import ESTIMATION_MODES, NetworkConfig
 
 
 def base_doc(**config_overrides):
@@ -123,12 +126,117 @@ def test_parse_error_reports_line_and_column():
         loads_config('{"config": {,}}')
 
 
+def test_unparsable_numbers_and_nesting_are_config_errors():
+    doc = json.dumps(base_doc()).replace('"seed": 42', '"seed": ' + "7" * 5000)
+    with pytest.raises(ConfigError, match="parse error"):
+        loads_config(doc)
+    with pytest.raises(ConfigError, match="parse error"):
+        loads_config("[" * 100_000)
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_VALID_FIELDS = {
+    "M": st.integers(1, 2**40),
+    "N": st.integers(1, 2**40),
+    "T_f": st.integers(1, 10**6),
+    "trials": st.integers(1, 2**62),
+    "seed": st.integers(-(2**64), 2**64),
+    "P": _POSITIVE,
+    "N_o": _POSITIVE,
+    "k_o": _POSITIVE,
+    "delta": _POSITIVE,
+    "estimation_mode": st.sampled_from(ESTIMATION_MODES),
+}
+
+
+@st.composite
+def valid_specs(draw):
+    command = draw(st.one_of(st.none(), st.sampled_from(COMMANDS)))
+    # bounds and outage also need a feasible epsilon_o.
+    ceiling = epsilon_max() if command in ("bounds", "outage") else 1.0
+    config = NetworkConfig(
+        epsilon_o=draw(st.floats(0.0, ceiling, exclude_max=True)),
+        **{name: draw(values) for name, values in _VALID_FIELDS.items()},
+    )
+    sweep = None
+    if command is None or _TABLE[command].sweepable:
+        sweep = draw(st.none() | st.lists(st.integers(1, 10**9), min_size=1, unique=True))
+    return ExperimentSpec(
+        command=command,
+        config=config,
+        sweep=None if sweep is None else tuple(sweep),
+        output_path=draw(st.none() | st.text()),
+        format=draw(st.sampled_from([None, "csv", "json"])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=valid_specs())
+def test_serialized_spec_loads_back_equal(spec):
+    assert loads_config(serialize(spec)) == spec
+
+
+_NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_OTHER_TYPES = st.one_of(st.booleans(), st.text(), st.none(), st.lists(st.integers(), max_size=2))
+_BAD_INT = _OTHER_TYPES | st.floats() | st.integers(max_value=0)
+_BAD_POSITIVE = (
+    _OTHER_TYPES | _NOT_FINITE | st.floats(max_value=0.0) | st.integers(max_value=0)
+    | st.integers(min_value=2**1024)
+)
+_INVALID_FIELDS = {
+    "M": _BAD_INT,
+    "N": _BAD_INT,
+    "T_f": _BAD_INT,
+    "trials": _BAD_INT,
+    "seed": _OTHER_TYPES | st.floats(),
+    "P": _BAD_POSITIVE,
+    "N_o": _BAD_POSITIVE,
+    "k_o": _BAD_POSITIVE,
+    "delta": _BAD_POSITIVE,
+    "epsilon_o": (
+        _OTHER_TYPES | _NOT_FINITE | st.floats(min_value=1.0) | st.floats(max_value=-1e-300)
+        | st.integers(min_value=1) | st.integers(max_value=-1)
+    ),
+    "estimation_mode": (_OTHER_TYPES | st.integers()).filter(lambda v: v not in ESTIMATION_MODES),
+    # Top-level keys of the experiment document.
+    "sweep": (
+        st.booleans() | st.text() | st.integers() | st.just([])
+        | st.lists(_BAD_INT, min_size=1, max_size=3)
+        | st.lists(st.integers(1, 5), min_size=2, max_size=4).filter(lambda s: len(set(s)) < len(s))
+    ),
+    "format": (_OTHER_TYPES | st.integers()).filter(lambda v: v not in ("csv", "json", None)),
+    "output_path": st.booleans() | st.integers() | st.floats() | st.lists(st.text(), max_size=2),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_INVALID_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_invalid_field_value_is_a_config_error(field, data):
+    doc = base_doc()
+    doc["command"] = "bounds"
+    value = data.draw(_INVALID_FIELDS[field])
+    if field in doc["config"]:
+        doc["config"][field] = value
+    else:
+        doc[field] = value
+    with pytest.raises(ConfigError):
+        loads_config(json.dumps(doc))
+
+
 def test_sweep_validation():
     doc = base_doc()
     doc["command"] = "bounds"
     doc["sweep"] = [100, 0]
     with pytest.raises(ConfigError, match="sweep"):
         loads_config(json.dumps(doc))
+    doc["sweep"] = [100, 200, 100]
+    with pytest.raises(ConfigError, match="distinct"):
+        loads_config(json.dumps(doc))
+    # A spec built in code is checked when it runs.
+    spec = ExperimentSpec(command="interference-probe", config=NetworkConfig(**doc["config"]))
+    with pytest.raises(ConfigError, match="distinct"):
+        run(dataclasses.replace(spec, sweep=(30, 30)))
     doc["sweep"] = [100, 200]
     assert loads_config(json.dumps(doc)).sweep == (100, 200)
     doc["command"] = "convergence"
@@ -319,6 +427,20 @@ def test_outage_command_schema_and_modes(tmp_path):
     path2 = write_doc(tmp_path, doc2, "spec2.json")
     assert main(["--config", path2, "--out", out2, "--mode", "trained"]) == EXIT_OK
     assert open(out2).read().splitlines()[1].split(",")[10] == "trained"
+
+
+def test_outage_sweep_checks_every_point_before_monte_carlo(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(feedbeam.cli, "estimate_outage", lambda *a, **k: calls.append(a))
+    doc = base_doc(N=50, M=2, epsilon_o=0.05, trials=2000)
+    doc["command"] = "outage"
+    doc["sweep"] = [50, 80, 24]
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "outage.csv"
+    assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
+    assert calls == []
+    assert not out.exists()
 
 
 def test_interference_probe_sweep(tmp_path):

@@ -8,14 +8,17 @@ from feedbeam import (
     ConfigError,
     DimensionError,
     DomainError,
+    NetworkConfig,
     RandomStream,
     estimate_outage,
     interference_scaling_probe,
     outage_bound,
     sign_pm,
     sinr,
+    train_ensemble,
 )
-from feedbeam.outage import _idealized_weights, clopper_pearson
+from feedbeam.channel import link_amplitudes
+from feedbeam.outage import clopper_pearson
 
 
 def test_sinr_without_interference(make_config):
@@ -57,21 +60,6 @@ def test_sinr_validation(make_config):
         sinr(ch, 0.5 * np.ones((2, 2)), 0, cfg)
     with pytest.raises(DimensionError):
         sinr(ch, np.ones((2, 2)), 5, cfg)
-
-
-def test_idealized_weights_flip_exact_count():
-    gen = RandomStream(7, "flips").generator()
-    diag = RandomStream(7, "h").generator().standard_normal((400, 3, 20))
-    w = _idealized_weights(diag, 4, gen)
-    flips = (w != sign_pm(diag)).sum(axis=-1)
-    assert np.all(flips == 4)
-    # flipped subsets vary across trials
-    patterns = {tuple((w[t, 0] != sign_pm(diag[t, 0])).nonzero()[0]) for t in range(400)}
-    assert len(patterns) > 50
-    # The flipped sources of each row are its 4 smallest uniforms.
-    u = RandomStream(7, "flips").generator().random(diag.shape)
-    smallest = u <= np.sort(u, axis=-1)[..., 3:4]
-    np.testing.assert_array_equal(w, np.where(smallest, -sign_pm(diag), sign_pm(diag)))
 
 
 def test_outage_at_extreme_rates(make_config):
@@ -117,17 +105,82 @@ def test_outage_interval_is_informative_at_zero_outages(make_config):
     assert none.to_dict()["ci_high"] == none.ci_high
 
 
-def test_outage_determinism_and_worker_independence(make_config):
-    cfg = make_config(M=2, N=50, epsilon_o=0.05, trials=40_000, seed=13)
+@pytest.mark.parametrize(
+    "mode, M", [("idealized", 1), ("idealized", 3), ("trained", 1), ("trained", 3)],
+    ids=["idealized-M1", "idealized-M3", "trained-M1", "trained-M3"],
+)
+def test_outage_determinism_and_worker_independence(make_config, mode, M):
+    # Three chunks in either mode, so that the workers really split the work.
+    trials = 40_000 if mode == "idealized" else 600
+    cfg = make_config(M=M, N=50, epsilon_o=0.05, trials=trials, seed=13)
     stream = RandomStream(cfg.seed, "outage")
-    a = estimate_outage(cfg, 0.4, "idealized", stream, workers=1)
-    b = estimate_outage(cfg, 0.4, "idealized", stream, workers=3)
+    a = estimate_outage(cfg, 0.4, mode, stream, workers=1)
+    b = estimate_outage(cfg, 0.4, mode, stream, workers=3)
     assert a == b
     assert math.isfinite(a.bound_finite)
     assert 0.0 <= a.outage_empirical <= 1.0
     assert a.stderr == pytest.approx(
         math.sqrt(a.outage_empirical * (1 - a.outage_empirical) / cfg.trials)
     )
+
+
+def _reference_outage_count(cfg, rate, mode, stream):
+    """Outage count of link 0 over full M-group networks, built without the
+    estimator's shortcuts: (B, M, M, N) channels, weights for every group
+    (sign(h_rr) with the sources of the k smallest uniforms reversed, or
+    trained ones), and the SINR of link 0 from its link amplitudes.
+    """
+    B, M, N = cfg.trials, cfg.M, cfg.N
+    h = stream.child("channels").generator().standard_normal((B, M, M, N))
+    own = h[:, np.arange(M), np.arange(M)]
+    if mode == "idealized":
+        u = stream.child("flips").generator().random(own.shape)
+        k = cfg.reverse_count
+        reverse = u < np.sort(u, axis=-1)[..., k : k + 1]
+        assert np.all(reverse.sum(axis=-1) == k)
+        w = np.where(reverse, -sign_pm(own), sign_pm(own))
+    else:
+        w = np.stack(
+            [train_ensemble(own[:, r], cfg, stream.child(f"train/{r}")).weights for r in range(M)],
+            axis=1,
+        )
+    c = link_amplitudes(h[:, :1], w)[:, 0]
+    scale = cfg.P / N
+    sinr_0 = scale * c[:, 0] ** 2 / (scale * np.sum(c[:, 1:] ** 2, axis=1) + cfg.N_o)
+    return int(np.count_nonzero(sinr_0 < 2.0 ** (2.0 * rate) - 1.0))
+
+
+@pytest.mark.parametrize(
+    "mode, M, N, epsilon_o, rate",
+    [
+        ("idealized", 3, 50, 0.05, 1.4),
+        ("idealized", 4, 60, 0.05, 1.2),
+        # Many reversed sources, so that their count shows in the outage.
+        ("idealized", 2, 20, 0.4, 0.1),
+        ("trained", 3, 50, 0.05, 1.4),
+        ("trained", 4, 60, 0.05, 1.2),
+    ],
+)
+def test_outage_matches_full_network_reference(make_config, mode, M, N, epsilon_o, rate):
+    # The estimator draws only link 0's own link and M-1 N(0, N) interfering
+    # amplitudes; the reference draws and trains every group of the network.
+    cfg = make_config(M=M, N=N, P=4.0, epsilon_o=epsilon_o, trials=4000, seed=41)
+    est = estimate_outage(cfg, rate, mode, RandomStream(cfg.seed, "outage"))
+    ref = _reference_outage_count(cfg, rate, mode, RandomStream(cfg.seed, "reference")) / cfg.trials
+    assert 0.01 <= ref <= 0.5 and 0.01 <= est.outage_empirical <= 0.5
+    combined = math.sqrt((ref * (1 - ref) + est.stderr**2 * cfg.trials) / cfg.trials)
+    assert abs(est.outage_empirical - ref) <= 4.0 * combined
+
+
+def test_trained_single_group_outage_keeps_its_draws():
+    # At M = 1 the estimator draws and trains exactly the networks it drew
+    # before interference was sampled from its law; this count is pinned.
+    cfg = NetworkConfig(
+        M=1, N=50, P=100.0, N_o=1.0, T_f=50, k_o=10.0, epsilon_o=0.05, delta=0.5,
+        seed=42, trials=3000,
+    )
+    res = estimate_outage(cfg, 5.6, "trained", RandomStream(cfg.seed, "outage"))
+    assert res.outage_empirical == 308 / 3000
 
 
 def test_bound_unavailable_at_small_n_reports_nan(make_config):
