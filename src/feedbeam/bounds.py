@@ -138,7 +138,7 @@ def _rate_numerator(epsilon_o: float) -> float:
 
 
 def _build_params(N: int, config: NetworkConfig) -> BoundParams:
-    """k1, k2, k3 and c_1 for any M; the interference terms vanish at M = 1."""
+    """k1, k2, k3 and c_1 for any M; at M = 1 k3 is the noise term alone."""
     eps = config.epsilon_o
     if eps >= epsilon_max():
         raise InfeasibleEpsilonError(
@@ -146,7 +146,14 @@ def _build_params(N: int, config: NetworkConfig) -> BoundParams:
         )
     k1, k2 = _signal_thresholds(N, eps)
     interferers = config.M - 1
-    k3 = interferers * float(N) ** (1.0 + config.delta) + N * config.N_o / config.P
+    k3 = N * config.N_o / config.P
+    if interferers:
+        try:
+            k3 += interferers * float(N) ** (1.0 + config.delta)
+        except OverflowError:
+            k3 = math.inf
+    if not math.isfinite(k3):
+        raise DomainError(f"k3 = (M-1) N^(1+delta) + N N_o/P is beyond the float range at N={N}")
     return BoundParams(
         k1=k1,
         k2=k2,
@@ -240,11 +247,9 @@ def outage_bound(N: int, config: NetworkConfig) -> BoundReport:
         snr_threshold = (params.k1 - params.k2) ** 2 / params.k3
     term1, term2, term3 = large_deviation_terms(N, params)
     eps = config.epsilon_o
-    asym = (
-        math.exp(-math.sqrt(N))
-        + math.exp(-eps * N - 2.0 * math.sqrt(N))
-        + 2.0 * (config.M - 1) * math.exp(-float(N) ** config.delta / 2.0)
-    )
+    asym = math.exp(-math.sqrt(N)) + math.exp(-eps * N - 2.0 * math.sqrt(N))
+    if config.M >= 2:  # N^delta is finite here, since k3 is
+        asym += 2.0 * (config.M - 1) * math.exp(-float(N) ** config.delta / 2.0)
     return BoundReport(
         N=N,
         M=config.M,

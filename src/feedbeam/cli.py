@@ -13,7 +13,9 @@ An experiment is described by a JSON document::
     }
 
 Unknown keys are rejected. ``--command``, ``--out``, ``--format`` and
-``--seed`` override the file. Results are written atomically (temp file +
+``--seed`` override the file. A spec checks its values when it is built, so
+one built in code gets the same checks as a spec file; the flags of ``run``
+check theirs the same way. Results are written atomically (temp file +
 rename, mode 0o666 less the umask) and reruns with the same spec produce
 byte-identical artifacts at any worker count.
 
@@ -45,12 +47,19 @@ from .bounds import epsilon_max, outage_bound
 from .config import NetworkConfig
 from .errors import ConfigError, FeedbeamError
 from .markov import build_markov, gain_moments_exact, one_step_absorb_probability
-from .outage import estimate_outage, interference_scaling_probe
+from .outage import WEIGHTS_MODES, estimate_outage, interference_scaling_probe
 from .protocol import compare_protocols, estimate_interference_power
 from .rng import RandomStream
 from .training import ensemble_gain_stats, run_convergence
 
-__all__ = ["COMMANDS", "ExperimentSpec", "load_config", "loads_config", "serialize", "run", "main"]
+__all__ = [
+    "COMMANDS", "FORMATS", "SIGMA_SOURCES", "ExperimentSpec",
+    "load_config", "loads_config", "serialize", "run", "main",
+]
+
+FORMATS = ("csv", "json")
+# Where protocol-compare takes sigma_I^2 from: trained networks, or i * P for link i.
+SIGMA_SOURCES = ("monte-carlo", "analytic")
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -69,7 +78,10 @@ class UnwritablePathError(FeedbeamError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: a command, its scenario, and output disposition."""
+    """One experiment: a command, its scenario, and output disposition.
+
+    Checked when built: from a file, in code or by ``dataclasses.replace``.
+    """
 
     command: str | None
     config: NetworkConfig
@@ -77,9 +89,41 @@ class ExperimentSpec:
     output_path: str | None = None
     format: str | None = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.config, NetworkConfig):
+            raise ConfigError(f"config must be a NetworkConfig, got {type(self.config).__name__}")
+        if self.sweep is not None:
+            if not isinstance(self.sweep, (list, tuple)) or not self.sweep:
+                raise ConfigError("sweep must be a nonempty list of integers")
+            for n in self.sweep:
+                if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+                    raise ConfigError(f"sweep entries must be integers >= 1, got {n!r}")
+            if len(set(self.sweep)) < len(self.sweep):
+                raise ConfigError(f"sweep entries must be distinct, got {list(self.sweep)!r}")
+            object.__setattr__(self, "sweep", tuple(self.sweep))
+        if self.format is not None and self.format not in FORMATS:
+            raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
+        if self.command is None:
+            return
+        # Membership in the tuple, not the table: an unhashable command is unknown too.
+        if self.command not in COMMANDS:
+            raise UnknownCommandError(
+                f"unknown command {self.command!r}; expected one of: {', '.join(COMMANDS)}"
+            )
+        if self.sweep is not None and not _TABLE[self.command].sweepable:
+            raise ConfigError(f"command {self.command!r} does not support an N sweep")
+        if self.command in ("bounds", "outage") and not self.config.epsilon_o < epsilon_max():
+            raise ConfigError(
+                f"epsilon_o={self.config.epsilon_o} is infeasible for command {self.command!r}: "
+                f"it must be below the feasibility threshold epsilon_max() = {epsilon_max():.5f}"
+            )
+
     def resolved(self) -> "ExperimentSpec":
-        """Validate, then fill per-command defaults for format and output path."""
-        validate_spec(self)
+        """Fill per-command defaults for format and output path."""
+        if self.command is None:
+            raise ConfigError("no command given (set it in the config file or with --command)")
         fmt = self.format or _TABLE[self.command].default_format
         out = self.output_path or f"{self.command}.{fmt}"
         return dataclasses.replace(self, format=fmt, output_path=out)
@@ -89,7 +133,7 @@ _TOP_LEVEL_KEYS = ("command", "config", "sweep", "output_path", "format")
 
 
 def loads_config(text: str) -> ExperimentSpec:
-    """Parse and validate an experiment document from a JSON string."""
+    """Parse an experiment document from a JSON string; the spec checks its values."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -103,30 +147,13 @@ def loads_config(text: str) -> ExperimentSpec:
         raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
     if "config" not in doc:
         raise ConfigError("missing key: config")
-    config = NetworkConfig.from_dict(doc["config"])
-
-    sweep = doc.get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, list) or not sweep:
-            raise ConfigError("sweep must be a nonempty list of integers")
-        for n in sweep:
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                raise ConfigError(f"sweep entries must be integers >= 1, got {n!r}")
-        sweep = tuple(sweep)
-
-    fmt = doc.get("format")
-    if fmt is not None and fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
-    out = doc.get("output_path")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"output_path must be a string, got {out!r}")
-
-    spec = ExperimentSpec(
-        command=doc.get("command"), config=config, sweep=sweep, output_path=out, format=fmt
+    return ExperimentSpec(
+        command=doc.get("command"),
+        config=NetworkConfig.from_dict(doc["config"]),
+        sweep=doc.get("sweep"),
+        output_path=doc.get("output_path"),
+        format=doc.get("format"),
     )
-    if spec.command is not None:
-        validate_spec(spec)
-    return spec
 
 
 def load_config(path: str) -> ExperimentSpec:
@@ -149,27 +176,6 @@ def serialize(spec: ExperimentSpec) -> str:
     if spec.format is not None:
         doc["format"] = spec.format
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def validate_spec(spec: ExperimentSpec) -> None:
-    if spec.command is None:
-        raise ConfigError("no command given (set it in the config file or with --command)")
-    if spec.command not in COMMANDS:
-        raise UnknownCommandError(
-            f"unknown command {spec.command!r}; expected one of: {', '.join(COMMANDS)}"
-        )
-    if spec.sweep is not None and not _TABLE[spec.command].sweepable:
-        raise ConfigError(f"command {spec.command!r} does not support an N sweep")
-    if spec.sweep is not None and len(set(spec.sweep)) < len(spec.sweep):
-        raise ConfigError(f"sweep entries must be distinct, got {list(spec.sweep)!r}")
-    if spec.command in ("bounds", "outage"):
-        ceiling = epsilon_max()
-        if not spec.config.epsilon_o < ceiling:
-            raise ConfigError(
-                f"epsilon_o={spec.config.epsilon_o} is infeasible for command "
-                f"{spec.command!r}: it must be below the feasibility threshold "
-                f"epsilon_max() = {ceiling:.5f}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +303,22 @@ def _atomic_write(path: str, text: str) -> None:
 
 @dataclass(frozen=True)
 class _Flags:
-    """Command-line flags beyond the spec; each runner reads the ones it needs."""
+    """Flags beyond the spec, checked when built; each runner reads the ones it needs."""
 
     workers: int
     mode: str
     sigma_source: str
     channel: np.ndarray | None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.workers, bool) or not isinstance(self.workers, int) or self.workers < 1:
+            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
+        if self.mode not in WEIGHTS_MODES:
+            raise ConfigError(f"mode must be one of {WEIGHTS_MODES}, got {self.mode!r}")
+        if self.sigma_source not in SIGMA_SOURCES:
+            raise ConfigError(
+                f"sigma_source must be one of {SIGMA_SOURCES}, got {self.sigma_source!r}"
+            )
 
 
 def _n_values(spec: ExperimentSpec) -> list[int]:
@@ -505,11 +521,9 @@ def run(
     sigma_source: str = "monte-carlo",
     channel: np.ndarray | None = None,
 ) -> list[str]:
-    """Validate and execute a spec, write its artifact, return the summary lines."""
-    if not workers >= 1:
-        raise ConfigError(f"workers must be >= 1, got {workers!r}")
-    spec = spec.resolved()
+    """Execute a spec, write its artifact, return the summary lines."""
     flags = _Flags(workers=workers, mode=mode, sigma_source=sigma_source, channel=channel)
+    spec = spec.resolved()
     text, summary = _TABLE[spec.command].runner(spec, flags)
     _atomic_write(spec.output_path, text)
     return summary
@@ -523,18 +537,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="path to the experiment JSON file")
     p.add_argument("--command", help=f"override the command ({', '.join(COMMANDS)})")
     p.add_argument("--out", help="override the output path")
-    p.add_argument("--format", choices=("csv", "json"), help="override the output format")
+    p.add_argument("--format", choices=FORMATS, help="override the output format")
     p.add_argument("--workers", type=int, default=1, help="max parallel workers (default 1)")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument(
         "--mode",
-        choices=("idealized", "trained"),
+        choices=WEIGHTS_MODES,
         default="idealized",
         help="weights mode for the outage command (default idealized)",
     )
     p.add_argument(
         "--sigma-source",
-        choices=("monte-carlo", "analytic"),
+        choices=SIGMA_SOURCES,
         default="monte-carlo",
         help="sigma_I^2 source for protocol-compare (default monte-carlo)",
     )

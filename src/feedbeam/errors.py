@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "FeedbeamError", "ConfigError", "DimensionError", "CapacityError",
+    "DegenerateChannelError", "DomainError", "InfeasibleEpsilonError", "StateError",
+]
+
 
 class FeedbeamError(ValueError):
     """Base class for all package-specific errors."""

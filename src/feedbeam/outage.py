@@ -18,7 +18,7 @@ comes from link amplitudes by one formula, ``_link_sinr``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -30,7 +30,6 @@ from .config import NetworkConfig
 from .errors import ConfigError, DimensionError, DomainError, InfeasibleEpsilonError
 from .rng import RandomStream
 from .training import EnsembleResult, map_networks
-from .util import TRAJ_CHUNK, TRIAL_CHUNK
 
 __all__ = [
     "WEIGHTS_MODES",
@@ -71,26 +70,12 @@ class OutageResult:
     ci_high: float
 
     def to_dict(self) -> dict:
-        def jsonable(x):
-            return None if isinstance(x, float) and not math.isfinite(x) else x
-
-        return {
-            "N": self.N,
-            "M": self.M,
-            "epsilon_o": self.epsilon_o,
-            "delta": self.delta,
-            "rate": self.rate,
-            "trials": self.trials,
-            "outage_empirical": self.outage_empirical,
-            "stderr": self.stderr,
-            "bound_finite": jsonable(self.bound_finite),
-            "bound_asymptotic": jsonable(self.bound_asymptotic),
-            "mode": self.weights_mode,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            # By link symmetry only link 0 is ever evaluated.
-            "link": 0,
-        }
+        """The fields, ``weights_mode`` as ``mode`` and non-finite floats as None."""
+        doc = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+               for k, v in asdict(self).items()}
+        doc["mode"] = doc.pop("weights_mode")
+        doc["link"] = 0  # by link symmetry only link 0 is ever evaluated
+        return doc
 
 
 def sinr(
@@ -175,16 +160,12 @@ def estimate_outage(
         raise DomainError(f"rate must be > 0, got {rate!r}")
     if mode not in WEIGHTS_MODES:
         raise ConfigError(f"weights mode must be one of {WEIGHTS_MODES}, got {mode!r}")
-    # Idealized trials are one SINR evaluation; trained trials run a full
-    # training block, so they get much smaller work units.
-    idealized = mode == "idealized"
     parts = map_networks(
         partial(_outage_count, rate, mode, config.M),
         config.replace(M=1),
         stream,
-        () if idealized else [0],
+        () if mode == "idealized" else [0],
         workers,
-        chunk=TRAJ_CHUNK if idealized else TRIAL_CHUNK,
     )
     count = sum(parts)
     p_hat = count / config.trials
@@ -258,6 +239,8 @@ def interference_scaling_probe(
     """
     if not N_list:
         raise ConfigError("N_list must be nonempty")
+    if len(set(N_list)) < len(N_list):
+        raise ConfigError(f"N_list entries must be distinct, got {list(N_list)!r}")
     rows = []
     for n in N_list:
         cfg = config.replace(M=1, N=int(n))

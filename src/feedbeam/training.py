@@ -301,16 +301,21 @@ def map_networks(
     stream: RandomStream,
     groups: Sequence[int],
     workers: int = 1,
-    chunk: int = TRIAL_CHUNK,
     **train: Any,
 ) -> list:
     """``network_chunk`` over ``config.trials`` networks, one result per chunk.
 
+    A trial that trains a group runs a training block, so those runs take
+    TRIAL_CHUNK trials per chunk; one that trains none is a cheap
+    evaluation, so those take TRAJ_CHUNK.
+
     ``reduce`` must be picklable (a module-level function or a partial of
     one) so that chunks can run on a process pool.
     """
+    groups = tuple(groups)
+    chunk = TRIAL_CHUNK if groups else TRAJ_CHUNK
     tasks = [
-        (reduce, config, stream, c, size, tuple(groups), train)
+        (reduce, config, stream, c, size, groups, train)
         for c, size in enumerate(chunk_sizes(config.trials, chunk))
     ]
     return map_chunks(network_chunk, tasks, workers)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -277,6 +278,17 @@ def test_outage_bound_guards(make_config):
         outage_bound(200, make_config(M=2, epsilon_o=0.21))
     with pytest.raises(InfeasibleEpsilonError):
         outage_bound(200, make_config(M=1, epsilon_o=0.21))
+
+
+def test_bound_inputs_beyond_float_range(make_config):
+    for cfg in (make_config(M=2, epsilon_o=0.05, delta=1000.0),
+                make_config(M=3, epsilon_o=0.05, P=1e-320)):
+        with pytest.raises(DomainError, match="k3"):
+            outage_bound(100, cfg)
+    # delta enters only the interference terms, which M = 1 does not have.
+    solo = outage_bound(100, make_config(M=1, epsilon_o=0.05, delta=1000.0))
+    reference = outage_bound(100, make_config(M=1, epsilon_o=0.05))
+    assert solo == dataclasses.replace(reference, delta=1000.0)
 
 
 def test_report_schema(make_config):

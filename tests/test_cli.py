@@ -244,6 +244,47 @@ def test_sweep_validation():
         loads_config(json.dumps(doc))
 
 
+def test_spec_built_in_code_equals_spec_from_file():
+    doc = base_doc(M=2, epsilon_o=0.05)
+    doc["command"] = "bounds"
+    doc["sweep"] = [100, 200]
+    built = ExperimentSpec("bounds", NetworkConfig(**doc["config"]), sweep=[100, 200])
+    assert built.sweep == (100, 200)
+    assert loads_config(json.dumps(doc)) == built
+
+
+@pytest.mark.parametrize(
+    "spec_changes, flags",
+    [
+        (dict(format="xml"), {}),
+        (dict(output_path=5), {}),
+        (dict(sweep=(True, 60)), {}),
+        ({}, dict(sigma_source="bogus")),
+        ({}, dict(mode="bogus")),
+        ({}, dict(workers=True)),
+    ],
+    ids=["format", "output_path", "sweep", "sigma_source", "mode", "workers"],
+)
+def test_library_run_checks_spec_and_flags(tmp_path, monkeypatch, spec_changes, flags):
+    monkeypatch.chdir(tmp_path)
+    config = NetworkConfig(**base_doc(M=2, N=50, epsilon_o=0.05)["config"])
+    spec = ExperimentSpec("bounds", config)
+    with pytest.raises(ConfigError):
+        run(dataclasses.replace(spec, **spec_changes), **flags)
+    assert list(tmp_path.iterdir()) == []
+    run(spec)
+    assert [p.name for p in tmp_path.iterdir()] == ["bounds.json"]
+
+
+def test_package_exports_each_module_all():
+    modules = [getattr(feedbeam, m) for m in ("bounds", "channel", "config", "errors", "markov",
+                                             "outage", "protocol", "rng", "training")]
+    declared = [(name, m) for m in modules for name in m.__all__]
+    assert sorted(feedbeam.__all__) == sorted(name for name, _ in declared)
+    assert len(set(feedbeam.__all__)) == len(feedbeam.__all__)
+    assert all(getattr(feedbeam, name) is getattr(m, name) for name, m in declared)
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -252,6 +293,15 @@ def test_unknown_command_exit_code(tmp_path, capsys):
     path = write_doc(tmp_path, base_doc())
     code = main(["--config", path, "--command", "frobnicate"])
     assert code == EXIT_UNKNOWN_COMMAND
+    assert json.loads(capsys.readouterr().err)["error"] == "unknown-command"
+
+
+@pytest.mark.parametrize("command", [["bounds"], {}, 5], ids=["list", "object", "number"])
+def test_malformed_command_exit_code(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    doc = base_doc()
+    doc["command"] = command
+    assert main(["--config", write_doc(tmp_path, doc)]) == EXIT_UNKNOWN_COMMAND
     assert json.loads(capsys.readouterr().err)["error"] == "unknown-command"
 
 
@@ -287,6 +337,33 @@ def test_mistyped_config_field_exit_code(tmp_path, capsys, field, value):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invalid-config"
     assert field in err["message"]
+
+
+@pytest.mark.parametrize("command", ["bounds", "outage"])
+@pytest.mark.parametrize("overrides", [dict(delta=1000.0), dict(P=1e-320)], ids=["delta", "P"])
+def test_bound_inputs_beyond_float_range_exit_code(tmp_path, capsys, command, overrides):
+    doc = base_doc(M=2, epsilon_o=0.05, **overrides)
+    doc["command"] = command
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "artifact"
+    assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-config"
+    assert "k3" in err["message"]
+    assert not out.exists()
+
+
+def test_single_group_bounds_do_not_depend_on_delta(tmp_path):
+    reports = []
+    for delta in (0.5, 1000.0):
+        doc = base_doc(M=1, epsilon_o=0.05, delta=delta)
+        doc["command"] = "bounds"
+        out = tmp_path / f"bounds-{delta}.json"
+        assert main(["--config", write_doc(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+        reports.append(json.loads(out.read_text()))
+    for key in ("rate", "k1", "k2", "k3", "term1", "term2", "term3", "bound_finite",
+                "bound_asymptotic"):
+        assert reports[0][key] == reports[1][key], key
 
 
 def test_unwritable_path_exit_code(tmp_path, capsys):

@@ -220,6 +220,13 @@ def test_trained_mode_and_all_links(make_config):
     assert 0.0 <= res.outage_empirical <= 1.0
 
 
+def test_outage_keeps_nan_bounds_beyond_float_range(make_config):
+    cfg = make_config(M=2, N=50, epsilon_o=0.05, delta=1000.0, trials=100)
+    res = estimate_outage(cfg, 0.5, "idealized", RandomStream(cfg.seed, "outage"))
+    assert math.isnan(res.bound_finite) and math.isnan(res.bound_asymptotic)
+    assert res.to_dict()["bound_finite"] is None
+
+
 def test_result_serialization_keys(make_config):
     cfg = make_config(M=2, N=50, epsilon_o=0.05, trials=100, seed=29)
     res = estimate_outage(cfg, 0.5, "idealized", RandomStream(cfg.seed, "outage"))
@@ -239,3 +246,9 @@ def test_interference_probe_statistics(make_config):
     assert 0.8 < probe.slope < 1.2
     with pytest.raises(ConfigError):
         interference_scaling_probe(cfg, [], RandomStream(cfg.seed, "probe"))
+
+
+def test_interference_probe_rejects_repeated_n(make_config):
+    cfg = make_config(M=1, N=30, trials=20)
+    with pytest.raises(ConfigError, match="distinct"):
+        interference_scaling_probe(cfg, [30, 30], RandomStream(cfg.seed, "probe"))

@@ -16,7 +16,8 @@ from feedbeam import (
     train_group,
     train_network,
 )
-from feedbeam.training import _flip_cells
+from feedbeam.training import _flip_cells, map_networks
+from feedbeam.util import TRAJ_CHUNK, TRIAL_CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -337,3 +338,16 @@ def test_epsilon_level_energy_heuristic(make_config):
     cfg = make_config(N=30, k_o=20.0, seed=121, trials=100)
     gains, ceilings = run_group_final_gains(cfg, RandomStream(cfg.seed, "fin"))
     assert gains.mean() >= (1 - 2 * 0.1) * cfg.N * abs_moment()
+
+
+def _chunk_trials(config, h, trained, sub):
+    return h.shape[0]
+
+
+def test_map_networks_chunk_size_follows_training(make_config):
+    # Runs that train a group take TRIAL_CHUNK trials per chunk, others TRAJ_CHUNK.
+    cfg = make_config(M=1, N=2, k_o=1.0, trials=TRIAL_CHUNK + 1)
+    stream = RandomStream(cfg.seed, "chunks")
+    assert map_networks(_chunk_trials, cfg, stream, [0]) == [TRIAL_CHUNK, 1]
+    assert TRAJ_CHUNK > cfg.trials
+    assert map_networks(_chunk_trials, cfg, stream, ()) == [cfg.trials]
