@@ -39,6 +39,11 @@ _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 _LN2 = math.log(2.0)
 # Upper-tail coefficient sqrt(2*(1 + ln 2)) shared by k2 and c_1.
 _K2_COEFF = math.sqrt(2.0 * (1.0 + _LN2))
+# Largest N the closed forms accept. term1's exponent, (1-eps) N log(1 - 1/sqrt(N)), is read
+# from k1, which holds N - sqrt(N). Up to 2^53, float(N) is exact and 1/sqrt(N) >= 1e-8 is far
+# above the float resolution; from about N = 1e37, rounding alone sets the exponent and
+# overflows it.
+_N_LIMIT = 2**53
 
 
 def q_function(v):
@@ -143,6 +148,11 @@ def _build_params(N: int, config: NetworkConfig) -> BoundParams:
     if eps >= epsilon_max():
         raise InfeasibleEpsilonError(
             f"epsilon_o={eps} is not feasible: must be below epsilon_max()={epsilon_max():.5f}"
+        )
+    if N > _N_LIMIT:
+        raise DomainError(
+            f"N is too large for the closed-form bound: it must be at most 2^53, "
+            f"got an N of {N.bit_length()} bits"
         )
     k1, k2 = _signal_thresholds(N, eps)
     interferers = config.M - 1

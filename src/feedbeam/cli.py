@@ -22,7 +22,10 @@ byte-identical artifacts at any worker count.
 Every CSV artifact goes through ``_csv_text``: a runner hands it a record
 array (``_table``), the writer picks one conversion per column from its
 dtype (``%d`` for bools and integers, ``%.17g`` for floats, ``_fmt_cell``
-for object columns) and formats blocks of rows with one row template.
+for object columns). Within each block of rows it formats each distinct
+value of a numeric column once and gathers the cells, so a trace whose gain
+changes only at accepted frames formats few values. Floats are told apart
+by their bits, so ``-0.0`` and ``0.0`` keep their own cells.
 The ``outage`` CSV columns are ``N, M, epsilon_o, delta, rate, trials,
 outage_empirical, stderr, bound_finite, bound_asymptotic, mode, ci_low,
 ci_high``, the last two the Clopper-Pearson 95 % interval of the outage
@@ -212,26 +215,39 @@ def _table(columns: Sequence[str], values: Sequence[Any]) -> np.recarray:
     return np.rec.fromarrays(arrays, names=list(columns))
 
 
+def _distinct_cells(col: np.ndarray, conversion: str) -> list[str]:
+    """Cells of the numeric column ``col``, each distinct value formatted once.
+
+    Floats are keyed by their bit pattern, so -0.0 and 0.0 stay apart.
+    """
+    keys = col.view(f"u{col.dtype.itemsize}") if col.dtype.kind == "f" else col
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    cells = np.array([conversion % x for x in col[first].tolist()], dtype=object)
+    return cells[inverse].tolist()
+
+
 def _csv_text(columns: Sequence[str], rows: np.recarray) -> str:
     """CSV text of the ``columns`` of the record array ``rows``.
 
-    Each column's conversion is picked once from its dtype, and one `%` row
-    template formats blocks of rows.
+    Each column's conversion is picked once from its dtype. Within each
+    block of rows, a numeric column formats each of its distinct values once
+    and gathers the cells; an object column formats every cell.
     """
-    fields, conversions = [], []
+    fields = []
     for name in columns:
         col = rows[name]
         conversion = _CONVERSION.get(col.dtype.kind)
         if conversion is None:
             col = np.fromiter(map(_fmt_cell, col.tolist()), dtype=object, count=len(col))
-            conversion = "%s"
-        fields.append(col)
-        conversions.append(conversion)
-    template = ",".join(conversions)
+        fields.append((col, conversion))
     parts = [",".join(columns)]
     for lo in range(0, len(rows), _BLOCK_ROWS):
-        block = zip(*(f[lo : lo + _BLOCK_ROWS].tolist() for f in fields))
-        parts.append("\n".join(map(template.__mod__, block)))
+        cells = [
+            col[lo : lo + _BLOCK_ROWS].tolist() if conversion is None
+            else _distinct_cells(col[lo : lo + _BLOCK_ROWS], conversion)
+            for col, conversion in fields
+        ]
+        parts.append("\n".join(map(",".join, zip(*cells))))
     return "\n".join(parts) + "\n"
 
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import CapacityError, DegenerateChannelError, FeedbeamError
 from .channel import sign_pm
@@ -205,8 +204,10 @@ def absorption_time_stats(model: MarkovModel) -> tuple[float, np.ndarray]:
     in descending gain: every accepted move strictly raises the gain, so
     tau_s = (1 + sum_j P(s -> j) tau_j) / (accepted mass out of s) involves
     only states of higher gain. The absorbing state has the unique highest
-    gain. Each block of BLOCK states is one small triangular solve. The
-    headline mean is taken from the all-(+1) start state.
+    gain. Each block of BLOCK states is one small upper-triangular solve:
+    its diagonal, the accepted mass out of each state, is positive, so
+    `np.linalg.solve` pivots on it, exchanges no rows and back-substitutes.
+    The headline mean is taken from the all-(+1) start state.
     """
     codes = np.argsort(model.gains)
     tau = np.zeros(codes.size)  # in gain order; the absorbing state is last
@@ -214,7 +215,7 @@ def absorption_time_stats(model: MarkovModel) -> tuple[float, np.ndarray]:
         lo = max(hi - BLOCK, 0)
         acc = _accepted(model.gains, model.mask_prob, codes[lo:hi], codes[lo:])
         system = np.diag(acc.sum(axis=1)) - acc[:, : hi - lo]
-        tau[lo:hi] = solve_triangular(system, 1.0 + acc[:, hi - lo :] @ tau[hi:])
+        tau[lo:hi] = np.linalg.solve(system, 1.0 + acc[:, hi - lo :] @ tau[hi:])
     by_state = np.zeros(codes.size)
     by_state[codes] = tau
     return float(by_state[model.start_index]), by_state

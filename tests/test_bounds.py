@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -11,6 +14,7 @@ from feedbeam import (
     DimensionError,
     DomainError,
     InfeasibleEpsilonError,
+    NetworkConfig,
     abs_moment,
     bound_params,
     c_o,
@@ -289,6 +293,37 @@ def test_bound_inputs_beyond_float_range(make_config):
     solo = outage_bound(100, make_config(M=1, epsilon_o=0.05, delta=1000.0))
     reference = outage_bound(100, make_config(M=1, epsilon_o=0.05))
     assert solo == dataclasses.replace(reference, delta=1000.0)
+
+
+def test_outage_bound_rejects_n_beyond_2_pow_53(make_config):
+    for M in (1, 2):
+        cfg = make_config(M=M, epsilon_o=0.05)
+        assert math.isfinite(outage_bound(2**53, cfg).bound_finite)
+        with pytest.raises(DomainError, match="N is too large"):
+            outage_bound(2**53 + 1, cfg)
+
+
+def _log_uniform_n(top):
+    """Integers N with log10(N) uniform in [log10(25), top]."""
+    return st.floats(math.log10(25), top).map(lambda e: max(25, int(Decimal(10) ** Decimal(e))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=_log_uniform_n(400.0) | _log_uniform_n(math.log10(2**53)), M=st.sampled_from([1, 2, 4]))
+def test_outage_bound_is_finite_or_rejected(N, M):
+    config = NetworkConfig(
+        M=M, N=25, P=100.0, N_o=1.0, T_f=50, k_o=10.0, epsilon_o=0.05, delta=0.5, seed=1
+    )
+    try:
+        report = outage_bound(N, config)
+    except InfeasibleEpsilonError:  # k1 <= k2, which holds only at small N
+        assert N < 1000
+        return
+    except DomainError as e:
+        assert "N is too large" in str(e) and N > 2**53
+        return
+    for name in ("rate", "k1", "k2", "k3", "bound_finite"):
+        assert math.isfinite(getattr(report, name)), name
 
 
 def test_report_schema(make_config):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import arrays, from_dtype
 
 import feedbeam
 from feedbeam import ConfigError, RandomStream, epsilon_max, run_convergence
@@ -353,6 +353,21 @@ def test_bound_inputs_beyond_float_range_exit_code(tmp_path, capsys, command, ov
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "M, exponent", [(1, 155), (2, 200), (2, 400)], ids=["M1-N1e155", "M2-N1e200", "M2-N1e400"]
+)
+def test_huge_n_exit_code(tmp_path, capsys, M, exponent):
+    doc = base_doc(M=M, N=10**exponent, epsilon_o=0.05)
+    doc["command"] = "bounds"
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "bounds.json"
+    assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-config"
+    assert "N is too large" in err["message"]
+    assert not out.exists()
+
+
 def test_single_group_bounds_do_not_depend_on_delta(tmp_path):
     reports = []
     for delta in (0.5, 1000.0):
@@ -388,6 +403,18 @@ def test_nonpositive_workers_exit_code(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+def last_line_of_python(code):
+    """Last line printed by ``code`` run in a fresh interpreter that imports this package."""
+    src = str(Path(feedbeam.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_bounds_run_does_not_import_scipy_optimize(tmp_path):
     doc = base_doc(N=50, M=1, epsilon_o=0.05)
     doc["command"] = "bounds"
@@ -399,14 +426,24 @@ def test_bounds_run_does_not_import_scipy_optimize(tmp_path):
         f"code = feedbeam.cli.main(['--config', {path!r}, '--out', {out!r}])\n"
         "print(code, 'scipy.optimize' in sys.modules)\n"
     )
-    src = str(Path(feedbeam.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    assert last_line_of_python(code) == f"{EXIT_OK} False"
+
+
+def test_oracle_does_not_import_scipy_linalg(tmp_path):
+    doc = base_doc(N=11, trials=20)
+    doc["command"] = "markov-verify"
+    path = write_doc(tmp_path, doc)
+    out = str(tmp_path / "markov.csv")
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import feedbeam.cli\n"
+        "from feedbeam.markov import absorption_time_stats, build_markov\n"
+        f"code = feedbeam.cli.main(['--config', {path!r}, '--out', {out!r}])\n"
+        "mean, _ = absorption_time_stats(build_markov(np.linspace(-1.0, 2.0, 11)))\n"
+        "print(code, mean > 0, 'scipy.linalg' in sys.modules)\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+    assert last_line_of_python(code) == f"{EXIT_OK} True False"
 
 
 # ---------------------------------------------------------------------------
@@ -652,18 +689,33 @@ _CELLS = {
 _CELLS["mixed"] = st.one_of(*_CELLS.values())
 # Columns given as arrays, which keep their dtype.
 _DTYPES = ["bool", "int8", "int32", "int64", "uint64", "float32", "float64"]
+# Array columns whose cells repeat: every cell is one of a pool of at most three values.
+_POOLED = [f"{dtype} pooled" for dtype in _DTYPES]
+
+
+def column(kind, n_rows):
+    """A strategy for one column of ``n_rows`` cells of the given kind."""
+    if kind in _CELLS:
+        return st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows)
+    if kind in _POOLED:
+        dtype = np.dtype(kind.split()[0])
+        elements = from_dtype(dtype)
+        if dtype.kind == "f":  # the values that must stay apart (-0.0, 0.0) or never compare equal
+            elements = st.sampled_from([0.0, -0.0, math.nan, math.inf]) | elements
+        return st.lists(elements, min_size=1, max_size=3).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows)
+        ).map(lambda cells: np.array(cells, dtype=dtype))
+    return arrays(kind, n_rows)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_csv_writer_matches_per_cell_formatting(data):
     n_rows = data.draw(st.integers(0, 12))
-    kinds = data.draw(st.lists(st.sampled_from(sorted(_CELLS) + _DTYPES), min_size=1, max_size=6))
-    values = [
-        data.draw(arrays(kind, n_rows) if kind in _DTYPES else
-                  st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows))
-        for kind in kinds
-    ]
+    kinds = data.draw(
+        st.lists(st.sampled_from(sorted(_CELLS) + _DTYPES + _POOLED), min_size=1, max_size=6)
+    )
+    values = [data.draw(column(kind, n_rows)) for kind in kinds]
     columns = [f"c{i}" for i in range(len(kinds))]
     rows = _table(columns, values)
     assert len(rows) == n_rows
@@ -689,6 +741,34 @@ def test_csv_writer_blocks_and_array_columns():
     assert text == per_cell_csv(columns, list(zip(*values)))
     assert text.count("\n") == n + 1
     assert ",None," in text and ",-0," in text
+
+
+def test_csv_writer_repeated_values_across_blocks():
+    n = 2 * _BLOCK_ROWS + 5
+    gen = np.random.default_rng(9)
+    pool = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1.5, 0.1])
+    gain = pool[gen.integers(0, pool.size, n)]
+    # Long runs of one value, the second across the first block edge.
+    gain[100:3000] = 0.1
+    gain[_BLOCK_ROWS - 700 : _BLOCK_ROWS + 900] = -0.0
+    gain[_BLOCK_ROWS + 900 : _BLOCK_ROWS + 950] = 0.0
+    gain[-5:] = [math.nan, -0.0, 0.0, 5e-324, math.inf]
+    values = [
+        gen.integers(0, 3, n).astype(np.int64),
+        gain,
+        gen.random(n) < 0.02,
+        np.repeat(np.arange(3, dtype=np.uint16), n // 3 + 1)[:n],
+        gain.astype(np.float32),
+    ]
+    for block in range(3):
+        zeros = gain[block * _BLOCK_ROWS : (block + 1) * _BLOCK_ROWS]
+        zeros = zeros[zeros == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    columns = ["group", "gain", "accepted", "code", "gain32"]
+    text = _csv_text(columns, _table(columns, values))
+    assert text == per_cell_csv(columns, list(zip(*values)))
+    for cell in ("-0", "0", "nan", "inf", "-inf", "4.9406564584124654e-324"):
+        assert f",{cell}," in text, cell
 
 
 def test_convergence_artifacts_match_row_by_row_reference(tmp_path):
