@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
 from .channel import abs_moment
 from .config import NetworkConfig
@@ -34,6 +34,7 @@ __all__ = [
     "outage_bound",
 ]
 
+_SQRT_2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 _LN2 = math.log(2.0)
@@ -46,17 +47,22 @@ _K2_COEFF = math.sqrt(2.0 * (1.0 + _LN2))
 _N_LIMIT = 2**53
 
 
+_STANDARD_NORMAL = NormalDist()
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def q_function(v):
-    """Standard normal tail probability Q(v) = P(Z > v); accepts arrays."""
-    out = 0.5 * erfc(np.asarray(v, dtype=float) / math.sqrt(2.0))
-    return float(out) if np.ndim(v) == 0 else out
+    """Standard normal tail probability Q(v) = P(Z > v) from ``math.erfc``; accepts arrays."""
+    if np.ndim(v) == 0:
+        return 0.5 * math.erfc(float(v) / _SQRT_2)
+    return 0.5 * _erfc(np.asarray(v, dtype=float) / _SQRT_2).astype(float)
 
 
 def q_inverse(p: float) -> float:
-    """Inverse of q_function on (0, 1): Q^{-1}(p) = -Phi^{-1}(p), from ``ndtri``."""
+    """Inverse of q_function on (0, 1): Q^{-1}(p) = -Phi^{-1}(p), from ``NormalDist.inv_cdf``."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"q_inverse requires p in (0, 1), got {p!r}")
-    return -float(ndtri(p))
+    return -_STANDARD_NORMAL.inv_cdf(p)
 
 
 def c_o(epsilon_o: float) -> float:

@@ -14,6 +14,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 __all__ = ["RandomStream"]
 
@@ -39,5 +40,5 @@ class RandomStream:
     def child(self, label: str | int) -> "RandomStream":
         return RandomStream(self.seed, f"{self.label}/{label}")
 
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=_philox_key(self.seed, self.label)))
+    def generator(self) -> Generator:
+        return Generator(Philox(key=_philox_key(self.seed, self.label)))

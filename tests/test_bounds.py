@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import erfc, ndtri
 
 from feedbeam import (
     BoundParams,
@@ -65,6 +66,27 @@ def test_q_roundtrip_property():
     # the round trip holds to a relative tolerance of a few 1e-13.
     for p in np.logspace(-300, -20, 57):
         assert q_function(q_inverse(float(p))) == pytest.approx(p, rel=1e-11, abs=0.0)
+
+
+def test_q_function_matches_erfc_for_scalars_and_arrays():
+    v = np.linspace(-10.0, 37.0, 4701)
+    ref = 0.5 * erfc(v / math.sqrt(2.0))
+    out = q_function(v)
+    assert out.dtype == np.float64 and out.shape == v.shape
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0.0)
+    assert q_function(v.reshape(3, -1)).shape == (3, 1567)
+    for x, r in zip(v[::47], ref[::47]):
+        q = q_function(float(x))
+        assert type(q) is float and q == pytest.approx(r, rel=1e-12, abs=0.0)
+    assert type(q_function(np.float64(1.5))) is float
+
+
+def test_q_inverse_matches_ndtri():
+    ps = np.concatenate(
+        [np.logspace(-300, -1, 600), np.linspace(0.01, 0.99, 99), 1.0 - np.logspace(-16, -1, 300)]
+    )
+    for p in ps:
+        assert q_inverse(float(p)) == pytest.approx(-float(ndtri(p)), rel=1e-14)
 
 
 def test_q_inverse_domain():

@@ -446,6 +446,44 @@ def test_oracle_does_not_import_scipy_linalg(tmp_path):
     assert last_line_of_python(code) == f"{EXIT_OK} True False"
 
 
+# One tiny run of every command: bounds at M = 1 and 2, outage in both weights modes,
+# markov-verify on the dense (N <= 10) and the matrix-free (N = 11) chain.
+_SCIPY_FREE_RUNS = [
+    ("convergence", dict(M=2, N=10, trials=4, k_o=2.0), []),
+    ("markov-verify", dict(N=6, trials=200), []),
+    ("markov-verify", dict(N=11, trials=20), []),
+    ("bounds", dict(N=50, M=1, epsilon_o=0.05), []),
+    ("bounds", dict(N=50, M=2, epsilon_o=0.05), []),
+    ("outage", dict(M=2, N=50, epsilon_o=0.05, trials=2000), ["--mode", "idealized"]),
+    ("outage", dict(M=2, N=50, epsilon_o=0.05, trials=20, k_o=2.0), ["--mode", "trained"]),
+    ("interference-probe", dict(N=20, trials=20, k_o=2.0), []),
+    ("protocol-compare", dict(M=3, N=16, P=10.0, trials=20, k_o=2.0), []),
+]
+
+
+def test_no_command_imports_scipy(tmp_path):
+    assert {command for command, _, _ in _SCIPY_FREE_RUNS} == set(COMMANDS)
+    argvs = []
+    for i, (command, config, flags) in enumerate(_SCIPY_FREE_RUNS):
+        doc = base_doc(**config)
+        doc["command"] = command
+        path = write_doc(tmp_path, doc, name=f"spec{i}.json")
+        argvs.append(["--config", path, "--out", str(tmp_path / f"artifact{i}"), *flags])
+    # numpy 2 loads numpy.random lazily; the package loads it at import, not in a first draw.
+    # The hitting times are library-only: no command computes them.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import feedbeam.cli\n"
+        "from feedbeam.markov import absorption_time_stats, build_markov\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        f"codes = [feedbeam.cli.main(argv) for argv in {argvs!r}]\n"
+        "mean, _ = absorption_time_stats(build_markov(np.linspace(-1.0, 2.0, 11)))\n"
+        "print(eager, codes, mean > 0, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    )
+    assert last_line_of_python(code) == f"True {[EXIT_OK] * len(argvs)} True []"
+
+
 # ---------------------------------------------------------------------------
 # commands end to end
 

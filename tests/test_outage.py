@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedbeam import (
     ChannelRealization,
@@ -17,6 +19,7 @@ from feedbeam import (
     sinr,
     train_ensemble,
 )
+from feedbeam.bounds import q_inverse
 from feedbeam.channel import link_amplitudes
 from feedbeam.outage import clopper_pearson
 
@@ -76,20 +79,86 @@ def test_outage_at_extreme_rates(make_config):
         estimate_outage(cfg, 1.0, "oracle", stream)
 
 
+def _beta_quantiles(k, n):
+    """The interval from scipy's beta quantiles: the reference, in the tests only."""
+    from scipy.stats import beta
+
+    low = 0.0 if k == 0 else beta.ppf(0.025, k, n - k + 1)
+    high = 1.0 if k == n else beta.ppf(0.975, k + 1, n - k)
+    return low, high
+
+
 @pytest.mark.parametrize(
     "k, n", [(0, 1), (1, 1), (0, 40), (1, 40), (3, 40), (39, 40), (40, 40), (17, 2000), (0, 100_000)]
 )
 def test_clopper_pearson_matches_beta_quantiles(k, n):
-    from scipy.stats import beta
-
     low, high = clopper_pearson(k, n)
-    assert low == (0.0 if k == 0 else pytest.approx(beta.ppf(0.025, k, n - k + 1), rel=1e-10))
-    assert high == (1.0 if k == n else pytest.approx(beta.ppf(0.975, k + 1, n - k), rel=1e-10))
+    assert (low, high) == pytest.approx(_beta_quantiles(k, n), rel=1e-10, abs=0.0)
     assert low <= k / n <= high
     if k == 0:
         # The upper end solves (1 - p)^n = 0.025.
-        assert high == pytest.approx(-math.expm1(math.log(0.025) / n), rel=1e-12)
+        assert high == pytest.approx(-math.expm1(math.log(0.025) / n), rel=1e-12, abs=0.0)
         assert high > 0
+
+
+@st.composite
+def _binomial_counts(draw):
+    """(k, n): n log-uniform in [1, 1e7], k uniform in [0, n] or one of 0, 1, n - 1, n."""
+    n = round(10.0 ** draw(st.floats(0.0, 7.0)))
+    k = draw(st.integers(0, n) | st.sampled_from([0, 1, n - 1, n]))
+    return k, n
+
+
+# The reference drifts: Boost's beta quantile behind scipy.stats.beta.ppf is off by up to
+# 1.14e-10 relative at k = 1 for some n between 9.5e6 and 1e7 (against 30-digit mpmath), so
+# a random draw there could fail on the reference alone. The examples are therefore fixed,
+# and test_clopper_pearson_closed_forms checks that region without scipy.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kn=_binomial_counts())
+def test_clopper_pearson_matches_scipy_and_mirrors(kn):
+    k, n = kn
+    low, high = clopper_pearson(k, n)
+    assert (low, high) == pytest.approx(_beta_quantiles(k, n), rel=1e-10, abs=0.0)
+    assert low <= k / n <= high
+    # n - k failures give the mirrored interval; near 1 the float spacing limits 1 - x.
+    mirror_low, mirror_high = clopper_pearson(n - k, n)
+    assert mirror_low == pytest.approx(1.0 - high, rel=1e-10, abs=1e-15)
+    assert mirror_high == pytest.approx(1.0 - low, rel=1e-10, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [9_546_477, 9_935_962, 10**7])
+def test_clopper_pearson_closed_forms(n):
+    # At k = 0, 1, n - 1 and n the beta quantile is a power: Beta(1, m) and Beta(m, 1).
+    ends = [clopper_pearson(0, n)[1], clopper_pearson(1, n)[0],
+            clopper_pearson(n - 1, n)[1], clopper_pearson(n, n)[0]]
+    powers = [-math.expm1(math.log(0.025) / n), -math.expm1(math.log(0.975) / n),
+              math.exp(math.log(0.975) / n), math.exp(math.log(0.025) / n)]
+    assert ends == pytest.approx(powers, rel=1e-13, abs=0.0)
+    # The upper end at k = 1 solves P(Bin(n, x) <= 1) = (1 - x)^(n-1) (1 + (n-1) x) = 0.025.
+    # A relative error e in x moves this log residual by about 4.7 e.
+    x = clopper_pearson(1, n)[1]
+    residual = (n - 1) * math.log1p(-x) + math.log1p((n - 1) * x) - math.log(0.025)
+    assert abs(residual) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "k, n",
+    [(k, 10**12) for k in (0, 1, 3 * 10**11, 5 * 10**11, 10**12 - 1, 10**12)]
+    + [(1, 2**53), (2**52, 2**53), (2**53 - 1, 2**53)],  # the last high end rounds to 1.0
+)
+def test_clopper_pearson_terminates_at_huge_n(k, n):
+    low, high = clopper_pearson(k, n)
+    assert 0.0 <= low <= k / n <= high <= 1.0 and low < high
+    if min(k, n - k) >= 10**6:  # there the normal approximation holds to about 1e-6
+        p = k / n
+        half = q_inverse(0.025) * math.sqrt(p * (1.0 - p) / n)
+        assert (high - low) / 2.0 == pytest.approx(half, rel=1e-5, abs=0.0)
+
+
+def test_clopper_pearson_domain():
+    for k, n in [(-1, 5), (6, 5), (0, 0)]:
+        with pytest.raises(DomainError):
+            clopper_pearson(k, n)
 
 
 def test_outage_interval_is_informative_at_zero_outages(make_config):
