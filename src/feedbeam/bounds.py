@@ -28,7 +28,6 @@ __all__ = [
     "k_o",
     "epsilon_max",
     "BoundParams",
-    "bound_params",
     "large_deviation_terms",
     "BoundReport",
     "outage_bound",
@@ -149,7 +148,13 @@ def _rate_numerator(epsilon_o: float) -> float:
 
 
 def _build_params(N: int, config: NetworkConfig) -> BoundParams:
-    """k1, k2, k3 and c_1 for any M; at M = 1 k3 is the noise term alone."""
+    """Evaluate k1, k2, k3 and c_1 at block length N, for any M.
+
+    k1 = (1-eps)(N - sqrt(N))/e * sqrt(pi/2), k2 = sqrt(2(1+ln 2)) (eps N +
+    sqrt(N)), k3 = (M-1) N^(1+delta) + N N_o / P, and c_1 is the squared gap
+    of the leading k1/k2 coefficients divided by M-1. At M = 1, k3 is the
+    noise term alone and c_1 is not divided.
+    """
     eps = config.epsilon_o
     if eps >= epsilon_max():
         raise InfeasibleEpsilonError(
@@ -182,18 +187,6 @@ def _build_params(N: int, config: NetworkConfig) -> BoundParams:
         P=config.P,
         N_o=config.N_o,
     )
-
-
-def bound_params(N: int, config: NetworkConfig) -> BoundParams:
-    """Evaluate k1, k2, k3 and c_1 for an M >= 2 interference network.
-
-    k1 = (1-eps)(N - sqrt(N))/e * sqrt(pi/2), k2 = sqrt(2(1+ln 2)) (eps N +
-    sqrt(N)), k3 = (M-1) N^(1+delta) + N N_o / P, and c_1 is the squared gap
-    of the leading k1/k2 coefficients divided by M-1.
-    """
-    if config.M < 2:
-        raise DomainError("bound_params requires M >= 2; the M = 1 case has no interference term")
-    return _build_params(N, config)
 
 
 def large_deviation_terms(N: int, params: BoundParams) -> tuple[float, float, float]:

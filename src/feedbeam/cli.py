@@ -22,10 +22,16 @@ byte-identical artifacts at any worker count.
 Every CSV artifact goes through ``_csv_text``: a runner hands it a record
 array (``_table``), the writer picks one conversion per column from its
 dtype (``%d`` for bools and integers, ``%.17g`` for floats, ``_fmt_cell``
-for object columns). Within each block of rows it formats each distinct
-value of a numeric column once and gathers the cells, so a trace whose gain
-changes only at accepted frames formats few values. Floats are told apart
-by their bits, so ``-0.0`` and ``0.0`` keep their own cells.
+for object columns). Each block of rows is built as bytes in numpy, with no
+Python string per cell or per row. A bool or integer column whose values
+span fewer values than the block has rows is read from a lookup table that
+formats each value from its minimum to its maximum once. Any other numeric
+column formats each distinct value once and gathers the cells, so a trace
+whose gain changes only at accepted frames formats few values. Floats are
+told apart by their bits, so ``-0.0`` and ``0.0`` keep their own cells. The
+cells and separators go into one fixed-width byte matrix, and one boolean
+compaction per block drops the padding; an object cell keeps exactly its
+UTF-8 bytes, NUL bytes included.
 The ``outage`` CSV columns are ``N, M, epsilon_o, delta, rate, trials,
 outage_empirical, stderr, bound_finite, bound_asymptotic, mode, ci_low,
 ci_high``, the last two the Clopper-Pearson 95 % interval of the outage
@@ -196,10 +202,15 @@ def _fmt_cell(x: Any) -> str:
 
 
 # The `%` conversion of each numeric numpy dtype kind that writes a cell as
-# `_fmt_cell` does: "%.17g" % x == format(x, ".17g") for every float, and
-# "%d" % True == "1". Columns of any other kind go through `_fmt_cell`.
+# `_fmt_cell` does: "%.17g" % x == format(x, ".17g") for every float, and a
+# bool is written as its 0/1 by "%d". Columns of any other kind go through
+# `_fmt_cell`.
 _CONVERSION = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
-_BLOCK_ROWS = 8192
+# Rows per block of `_csv_text`. On the 512 000 rows of a benchmark trace,
+# blocks of 16384 to 65536 rows wrote equally fast and 8192 was slower; a
+# larger block formats its integer lookup tables and repeated floats fewer
+# times but holds larger temporaries.
+_BLOCK_ROWS = 32768
 
 
 def _table(columns: Sequence[str], values: Sequence[Any]) -> np.recarray:
@@ -215,40 +226,65 @@ def _table(columns: Sequence[str], values: Sequence[Any]) -> np.recarray:
     return np.rec.fromarrays(arrays, names=list(columns))
 
 
-def _distinct_cells(col: np.ndarray, conversion: str) -> list[str]:
-    """Cells of the numeric column ``col``, each distinct value formatted once.
+def _cells(col: np.ndarray, conversion: str | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The cells of one block of a column as a byte-string (`S`) array.
 
-    Floats are keyed by their bit pattern, so -0.0 and 0.0 stay apart.
+    Returns them with their lengths in bytes for an object column, whose
+    cells may hold NUL bytes, and with None for a numeric column, whose
+    cells never do and so end where their NUL padding starts.
     """
-    keys = col.view(f"u{col.dtype.itemsize}") if col.dtype.kind == "f" else col
+    if conversion is None:
+        cells = [_fmt_cell(x).encode() for x in col.tolist()]
+        lengths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+        return np.array(cells, dtype=f"S{max(int(lengths.max()), 1)}"), lengths
+    if col.dtype.kind in "biu":
+        ints = col.view(np.uint8) if col.dtype.kind == "b" else col
+        lo, hi = int(ints.min()), int(ints.max())
+        if hi - lo < len(ints):
+            # Each value from lo to hi formatted once, looked up at v - lo. The
+            # difference may wrap in the column's dtype, but its unsigned view
+            # of the same width is exact.
+            table = np.array([(conversion % v).encode() for v in range(lo, hi + 1)])
+            return table.take((ints - ints.dtype.type(lo)).view(f"u{ints.itemsize}")), None
+    # Each distinct value formatted once. Floats are told apart by their bits,
+    # so -0.0 and 0.0 keep their own cells.
+    keys = col.view(f"u{col.itemsize}") if col.dtype.kind == "f" else col
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    cells = np.array([conversion % x for x in col[first].tolist()], dtype=object)
-    return cells[inverse].tolist()
+    table = np.array([(conversion % x).encode() for x in col[first].tolist()])
+    return table.take(inverse), None
 
 
 def _csv_text(columns: Sequence[str], rows: np.recarray) -> str:
     """CSV text of the ``columns`` of the record array ``rows``.
 
-    Each column's conversion is picked once from its dtype. Within each
-    block of rows, a numeric column formats each of its distinct values once
-    and gathers the cells; an object column formats every cell.
+    Each column's conversion is picked once from its dtype. Each block of
+    rows is built as bytes: the `_cells` of every column and the separators
+    go side by side into one fixed-width byte matrix, one row per line, and
+    one boolean compaction drops the padding.
     """
-    fields = []
-    for name in columns:
-        col = rows[name]
-        conversion = _CONVERSION.get(col.dtype.kind)
-        if conversion is None:
-            col = np.fromiter(map(_fmt_cell, col.tolist()), dtype=object, count=len(col))
-        fields.append((col, conversion))
-    parts = [",".join(columns)]
+    fields = [(rows[name], _CONVERSION.get(rows[name].dtype.kind)) for name in columns]
+    # One growing buffer, not a list of blocks and their join: at most the
+    # bytes and the decoded text are held at once.
+    text = bytearray((",".join(columns) + "\n").encode())
     for lo in range(0, len(rows), _BLOCK_ROWS):
-        cells = [
-            col[lo : lo + _BLOCK_ROWS].tolist() if conversion is None
-            else _distinct_cells(col[lo : lo + _BLOCK_ROWS], conversion)
-            for col, conversion in fields
-        ]
-        parts.append("\n".join(map(",".join, zip(*cells))))
-    return "\n".join(parts) + "\n"
+        cells = [_cells(col[lo : lo + _BLOCK_ROWS], conversion) for col, conversion in fields]
+        n = len(cells[0][0])
+        line = np.empty((n, sum(c.itemsize + 1 for c, _ in cells)), dtype=np.uint8)
+        spans = []
+        start = 0
+        for c, lengths in cells:
+            end = start + c.itemsize
+            line[:, start:end] = c.view(np.uint8).reshape(n, c.itemsize)
+            line[:, end] = ord(",")
+            spans.append((start, end, lengths))
+            start = end + 1
+        line[:, -1] = ord("\n")
+        keep = line != 0
+        for start, end, lengths in spans:
+            if lengths is not None:
+                keep[:, start:end] = np.arange(end - start) < lengths[:, np.newaxis]
+        text.extend(line[keep])
+    return text.decode()
 
 
 def _records(rows: np.recarray) -> list[dict]:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DegenerateChannelError, FeedbeamError
-from .channel import sign_pm
 
 __all__ = [
     "DENSE_STATE_LIMIT",
@@ -231,13 +230,3 @@ def one_step_absorb_probability(model: MarkovModel) -> np.ndarray:
     probs = model.mask_prob[codes ^ model.absorbing_index]
     probs[model.absorbing_index] = 1.0
     return probs
-
-
-def state_signs(model: MarkovModel) -> np.ndarray:
-    """(2^N, N) matrix of alpha_hat vectors, row s = state code s."""
-    return _state_signs(model.N)
-
-
-def absorbing_matches_sign(model: MarkovModel) -> bool:
-    """Consistency check: the absorbing state's weights equal sign(h)."""
-    return bool(np.all(state_signs(model)[model.absorbing_index] == sign_pm(model.h)))

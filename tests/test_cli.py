@@ -809,6 +809,46 @@ def test_csv_writer_repeated_values_across_blocks():
         assert f",{cell}," in text, cell
 
 
+def test_csv_writer_edge_cells_across_two_block_edges():
+    n = 2 * _BLOCK_ROWS + 7
+    gen = np.random.default_rng(17)
+    edges = [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS, n - 1]
+    # Object cells whose bytes a NUL padding mask would cut: NULs, non-ASCII, empty.
+    pool = ["\0", "a\0", "é", "", None, "idealized"]
+    text_cells = [pool[i] for i in gen.integers(0, len(pool), n)]
+    for i, cell in zip(edges, ["\0", "a\0", "é", "", None, "\0"]):
+        text_cells[i] = cell
+    # int64 at both ends of its range: no lookup table fits that span.
+    wide = gen.integers(-(2**63), 2**63 - 1, n, dtype=np.int64, endpoint=True)
+    wide[[0, _BLOCK_ROWS - 1, _BLOCK_ROWS, n - 1]] = [-(2**63), 2**63 - 1, 2**63 - 1, -(2**63)]
+    # uint64 above 2^63: spread out in the first block, a narrow span near 2^64 after it.
+    big = gen.integers(2**63, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
+    big[_BLOCK_ROWS:] = np.uint64(2**64 - 1) - gen.integers(0, 4, n - _BLOCK_ROWS).astype(np.uint64)
+    # int8 spans in which v - min wraps in int8: the whole range, and 201 values.
+    small = gen.integers(-128, 127, n, dtype=np.int8, endpoint=True)
+    small[_BLOCK_ROWS : 2 * _BLOCK_ROWS] = gen.integers(-100, 100, _BLOCK_ROWS, endpoint=True)
+    small[edges] = [-128, 127, -100, 100, -128, 127]
+    flags = gen.random(n) < 0.5
+    flags[_BLOCK_ROWS : 2 * _BLOCK_ROWS] = True  # a block of one bool value
+    single = (gen.standard_normal(n) * 1e3).astype(np.float32)
+    single[edges[:4]] = [np.float32(-0.0), np.nan, np.inf, np.finfo(np.float32).tiny]
+    # A block that is all -0.0 next to blocks that are all 0.0.
+    zeros = np.zeros(n)
+    zeros[:_BLOCK_ROWS] = -0.0
+    values = [text_cells, wide, big, small, flags, single, zeros]
+    columns = ["text", "wide", "big", "small", "flag", "single", "zero"]
+    text = _csv_text(columns, _table(columns, values))
+    assert text == per_cell_csv(columns, list(zip(*values)))
+    lines = text.split("\n")
+    assert lines[1] == f"\0,{-(2**63)},{int(big[0])},-128,{int(flags[0])},-0,-0"
+    assert lines[_BLOCK_ROWS].startswith("a\0,9223372036854775807,")
+    assert lines[_BLOCK_ROWS + 1].startswith("é,9223372036854775807,")
+    assert lines[_BLOCK_ROWS + 1].endswith(",-100,1,inf,0")
+    assert lines[2 * _BLOCK_ROWS].startswith(",")  # the empty cell
+    assert lines[2 * _BLOCK_ROWS + 1].startswith("None,")
+    assert lines[n].startswith("\0,-9223372036854775808,18446744073709551")
+
+
 def test_convergence_artifacts_match_row_by_row_reference(tmp_path):
     config = NetworkConfig(**base_doc(M=2, N=12, trials=7, k_o=3.0)["config"])
     res = run_convergence(config, RandomStream(config.seed, "convergence"))

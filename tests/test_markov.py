@@ -15,9 +15,10 @@ from feedbeam import (
     expected_gain_exact,
     gain_distribution,
     one_step_absorb_probability,
+    sign_pm,
     train_ensemble,
 )
-from feedbeam.markov import BLOCK, WINDOW, absorbing_matches_sign
+from feedbeam.markov import BLOCK, WINDOW
 from feedbeam.util import TRAJ_CHUNK, chunk_sizes
 
 
@@ -81,7 +82,8 @@ def test_rows_are_stochastic_and_absorbing_row_is_unit():
         unit = np.zeros(model.n_states)
         unit[model.absorbing_index] = 1.0
         assert np.array_equal(row, unit)
-        assert absorbing_matches_sign(model)
+        bits = (model.absorbing_index >> np.arange(n)) & 1
+        assert np.array_equal(2 * bits - 1, sign_pm(model.h))
 
 
 def test_absorbing_state_reachable_from_everywhere_in_one_step():

@@ -3,11 +3,14 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from feedbeam import (
     ChannelRealization,
     DimensionError,
+    NetworkConfig,
     RandomStream,
     abs_moment,
     run_convergence,
@@ -199,6 +202,50 @@ def test_absorption_is_permanent(make_config):
     first = hits[0]
     assert np.all(trace.aligned_count[first:] == cfg.N)
     assert np.allclose(trace.gain[first:], np.abs(h).sum())
+
+
+_CHANNEL_ENTRY = st.floats(1e-3, 1e3).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@st.composite
+def perfect_ensembles(draw):
+    """A small perfect-mode config, a (B, N) channel batch and a decimation."""
+    n, b = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    config = NetworkConfig(
+        M=1, N=n, P=draw(st.floats(0.1, 100.0)), N_o=1.0, T_f=20, k_o=draw(st.floats(1.0, 30.0)),
+        epsilon_o=0.1, delta=0.5, seed=draw(st.integers(0, 2**32)), estimation_mode="perfect",
+    )
+    H = np.array(draw(st.lists(_CHANNEL_ENTRY, min_size=b * n, max_size=b * n))).reshape(b, n)
+    return config, H, draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=perfect_ensembles())
+def test_perfect_mode_recorded_gain_never_decreases(case):
+    config, H, decimation = case
+    res = train_ensemble(
+        H, config, RandomStream(config.seed, "mono"), record_trace=True, decimation=decimation
+    )
+    assert np.all(np.diff(res.gain, axis=1) >= 0)
+    assert np.all(res.gain[:, 0] == H.sum(axis=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=perfect_ensembles())
+def test_reaching_the_ceiling_is_permanent_and_ends_acceptance(case):
+    config, H, decimation = case
+    res = train_ensemble(
+        H, config, RandomStream(config.seed, "ceiling"), record_trace=True, decimation=decimation
+    )
+    for h, gain, aligned, accepted in zip(H, res.gain, res.aligned_count, res.accepted):
+        hits = np.flatnonzero(aligned == config.N)
+        if hits.size == 0:
+            continue
+        first = hits[0]
+        assert np.all(aligned[first:] == config.N)
+        assert gain[first] == pytest.approx(np.abs(h).sum(), rel=1e-12)
+        assert np.all(gain[first:] == gain[first])
+        assert not accepted[first + 1 :].any()
 
 
 def test_trajectory_is_scale_equivariant(make_config):
