@@ -12,12 +12,13 @@ An experiment is described by a JSON document::
       "format": "csv"                 # optional, "csv" or "json"
     }
 
-Unknown keys are rejected. ``--command``, ``--out``, ``--format`` and
-``--seed`` override the file. A spec checks its values when it is built, so
-one built in code gets the same checks as a spec file; the flags of ``run``
-check theirs the same way. Results are written atomically (temp file +
-rename, mode 0o666 less the umask) and reruns with the same spec produce
-byte-identical artifacts at any worker count.
+The file must be UTF-8, and unknown or repeated keys are rejected at any
+level. ``--command``, ``--out``, ``--format`` and ``--seed`` override the
+file. A spec checks its values when it is built, so one built in code gets
+the same checks as a spec file; the flags of ``run`` check theirs the same
+way. Results are written atomically (temp file + rename, mode 0o666 less
+the umask) and reruns with the same spec produce byte-identical artifacts
+at any worker count.
 
 Every CSV artifact goes through ``_csv_text``: a runner hands it a record
 array (``_table``), the writer picks one conversion per column from its
@@ -32,10 +33,8 @@ told apart by their bits, so ``-0.0`` and ``0.0`` keep their own cells. The
 cells and separators go into one fixed-width byte matrix, and one boolean
 compaction per block drops the padding; an object cell keeps exactly its
 UTF-8 bytes, NUL bytes included.
-The ``outage`` CSV columns are ``N, M, epsilon_o, delta, rate, trials,
-outage_empirical, stderr, bound_finite, bound_asymptotic, mode, ci_low,
-ci_high``, the last two the Clopper-Pearson 95 % interval of the outage
-probability.
+The columns of ``bounds`` and ``outage`` are the fields of ``BoundReport``
+and ``OutageResult``, in field order; the JSON of ``outage`` adds ``link``.
 """
 
 from __future__ import annotations
@@ -52,11 +51,11 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import epsilon_max, outage_bound
+from .bounds import BoundReport, epsilon_max, outage_bound
 from .config import NetworkConfig
 from .errors import ConfigError, FeedbeamError
 from .markov import build_markov, gain_moments_exact, one_step_absorb_probability
-from .outage import WEIGHTS_MODES, estimate_outage, interference_scaling_probe
+from .outage import WEIGHTS_MODES, OutageResult, estimate_outage, interference_scaling_probe
 from .protocol import compare_protocols, estimate_interference_power
 from .rng import RandomStream
 from .training import ensemble_gain_stats, run_convergence
@@ -141,13 +140,23 @@ class ExperimentSpec:
 _TOP_LEVEL_KEYS = ("command", "config", "sweep", "output_path", "format")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict; a key given twice is an error, not the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def loads_config(text: str) -> ExperimentSpec:
-    """Parse an experiment document from a JSON string; the spec checks its values."""
+    """Parse an experiment document (no key repeated) from JSON; the spec checks its values."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}")
-    except (ValueError, RecursionError) as e:  # an over-long integer, too deep a nesting
+    except (ValueError, RecursionError) as e:  # a repeated key, an over-long integer, deep nesting
         raise ConfigError(f"config parse error: {e}")
     if not isinstance(doc, dict):
         raise ConfigError("experiment document must be a JSON object")
@@ -172,6 +181,8 @@ def load_config(path: str) -> ExperimentSpec:
             text = f.read()
     except OSError as e:
         raise ConfigError(f"cannot read config file {path!r}: {e}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path!r} is not valid UTF-8: {e}")
     return loads_config(text)
 
 
@@ -454,10 +465,7 @@ def _cmd_bounds(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
         f"bound_asymptotic={r.bound_asymptotic:.4g}"
         for r in reports
     ]
-    columns = (
-        "N", "M", "epsilon_o", "delta", "k1", "k2", "k3", "c_1", "rate",
-        "term1", "term2", "term3", "bound_finite", "bound_asymptotic",
-    )
+    columns = [f.name for f in dataclasses.fields(BoundReport)]
     return _records_text(spec, columns, [r.to_dict() for r in reports]), summary
 
 
@@ -475,13 +483,10 @@ def _cmd_outage(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
     summary = [
         f"outage N={r.N} rate={r.rate:.4f} empirical={r.outage_empirical:.6f} "
         f"(+-{r.stderr:.6f}, 95% CI [{r.ci_low:.6f}, {r.ci_high:.6f}]) "
-        f"bound_finite={r.bound_finite:.4g} mode={r.weights_mode}"
+        f"bound_finite={r.bound_finite:.4g} mode={r.mode}"
         for r in results
     ]
-    columns = (
-        "N", "M", "epsilon_o", "delta", "rate", "trials", "outage_empirical",
-        "stderr", "bound_finite", "bound_asymptotic", "mode", "ci_low", "ci_high",
-    )
+    columns = [f.name for f in dataclasses.fields(OutageResult)]
     return _records_text(spec, columns, [r.to_dict() for r in results]), summary
 
 

@@ -46,12 +46,12 @@ WEIGHTS_MODES = ("trained", "idealized")
 
 @dataclass(frozen=True)
 class OutageResult:
-    """Empirical outage of link 0 at one rate, with the analytic bound.
+    """Empirical outage of link 0 at one rate, with the analytic bound: one row of ``outage``.
 
-    ``stderr`` is the plug-in binomial standard error, 0 when no trial or
-    every trial is in outage; ``ci_low``/``ci_high`` bound the outage
-    probability with the exact (Clopper-Pearson) 95 % interval, which stays
-    informative there.
+    ``mode`` is the weights mode, one of ``WEIGHTS_MODES``. ``stderr`` is the
+    plug-in binomial standard error, 0 when no trial or every trial is in
+    outage; ``ci_low``/``ci_high`` bound the outage probability with the
+    exact (Clopper-Pearson) 95 % interval, which stays informative there.
     """
 
     N: int
@@ -64,15 +64,14 @@ class OutageResult:
     stderr: float
     bound_finite: float
     bound_asymptotic: float
-    weights_mode: str
+    mode: str
     ci_low: float
     ci_high: float
 
     def to_dict(self) -> dict:
-        """The fields, ``weights_mode`` as ``mode`` and non-finite floats as None."""
+        """The fields, non-finite floats as None, and the evaluated ``link``."""
         doc = {k: None if isinstance(v, float) and not math.isfinite(v) else v
                for k, v in asdict(self).items()}
-        doc["mode"] = doc.pop("weights_mode")
         doc["link"] = 0  # by link symmetry only link 0 is ever evaluated
         return doc
 
@@ -295,7 +294,7 @@ def estimate_outage(
         stderr=float(math.sqrt(p_hat * (1.0 - p_hat) / config.trials)),
         bound_finite=bound_finite,
         bound_asymptotic=bound_asym,
-        weights_mode=mode,
+        mode=mode,
         ci_low=ci_low,
         ci_high=ci_high,
     )

@@ -11,8 +11,6 @@ from scipy.optimize import brentq
 from scipy.special import erfc, ndtri
 
 from feedbeam import (
-    BoundParams,
-    DimensionError,
     DomainError,
     InfeasibleEpsilonError,
     NetworkConfig,
@@ -20,12 +18,11 @@ from feedbeam import (
     c_o,
     epsilon_max,
     k_o,
-    large_deviation_terms,
     outage_bound,
     q_function,
     q_inverse,
 )
-from feedbeam.bounds import _build_params, _rate_numerator, _signal_thresholds
+from feedbeam.bounds import _rate_numerator, _signal_thresholds
 
 
 def half_normal_pdf(x):
@@ -190,55 +187,46 @@ def test_threshold_ordering_flips_at_epsilon_max():
 
 
 # ---------------------------------------------------------------------------
-# bound parameters and tail terms
+# thresholds and tail terms
 
 
 def test_c1_values(make_config):
     cfg = make_config(M=2, epsilon_o=0.05)
-    params = _build_params(200, cfg)
-    assert params.c_1 == pytest.approx(0.1197, abs=2e-4)
+    report = outage_bound(200, cfg)
+    assert report.c_1 == pytest.approx(0.1197, abs=2e-4)
     cfg0 = make_config(M=2, epsilon_o=0.0)
-    assert _build_params(200, cfg0).c_1 == pytest.approx((math.pi / 2.0) / math.e**2, rel=1e-12)
+    assert outage_bound(200, cfg0).c_1 == pytest.approx((math.pi / 2.0) / math.e**2, rel=1e-12)
 
 
 def test_k3_arithmetic(make_config):
     cfg = make_config(M=2, epsilon_o=0.05, delta=0.5, N_o=1.0, P=1.0)
-    params = _build_params(100, cfg)
-    assert params.k3 == pytest.approx(1.0 * 100**1.5 + 100.0, rel=1e-12)
+    report = outage_bound(100, cfg)
+    assert report.k3 == pytest.approx(1.0 * 100**1.5 + 100.0, rel=1e-12)
 
 
 def test_bound_params_guards(make_config):
     with pytest.raises(InfeasibleEpsilonError):
-        _build_params(100, make_config(M=2, epsilon_o=0.25))
+        outage_bound(100, make_config(M=2, epsilon_o=0.25))
     # Feasible epsilon but N too small for k1 > k2.
     with pytest.raises(InfeasibleEpsilonError):
-        _build_params(25, make_config(M=2, epsilon_o=0.19))
+        outage_bound(25, make_config(M=2, epsilon_o=0.19))
 
 
 def test_term3_value_and_interference_free_case(make_config):
     cfg = make_config(M=2, epsilon_o=0.05, delta=0.5)
-    params = _build_params(200, cfg)
-    t1, t2, t3 = large_deviation_terms(200, params)
+    report = outage_bound(200, cfg)
+    t1, t2, t3 = report.term1, report.term2, report.term3
     assert t3 == pytest.approx(2.0 * math.exp(-math.sqrt(200) / 2.0), rel=1e-12)
     assert t3 == pytest.approx(1.70e-3, abs=2e-5)
     assert min(t1, t2, t3) >= 0.0
     # M = 1: no interferers, third term vanishes identically.
-    k1, k2 = _signal_thresholds(200, 0.05)
-    solo = BoundParams(
-        k1=k1, k2=k2, k3=200.0, c_1=1.0, epsilon_o=0.05, delta=0.5, M=1, N=200, P=1.0, N_o=1.0
-    )
-    assert large_deviation_terms(200, solo)[2] == 0.0
+    solo = outage_bound(200, make_config(M=1, epsilon_o=0.05, delta=0.5, P=1.0, N_o=1.0))
+    assert solo.term3 == 0.0
 
 
 def test_empty_reverse_set_kills_term2(make_config):
-    params = _build_params(200, make_config(M=2, epsilon_o=0.0))
-    assert large_deviation_terms(200, params)[1] == 0.0
-
-
-def test_terms_reject_mismatched_n(make_config):
-    params = _build_params(200, make_config(M=2, epsilon_o=0.05))
-    with pytest.raises(DimensionError):
-        large_deviation_terms(100, params)
+    report = outage_bound(200, make_config(M=2, epsilon_o=0.0))
+    assert report.term2 == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +236,7 @@ def test_terms_reject_mismatched_n(make_config):
 def test_outage_bound_assembly(make_config):
     cfg = make_config(M=2, epsilon_o=0.05, delta=0.5)
     report = outage_bound(200, cfg)
-    t1, t2, t3 = large_deviation_terms(200, _build_params(200, cfg))
+    t1, t2, t3 = report.term1, report.term2, report.term3
     assert report.bound_finite == pytest.approx(t1 + t2 + t3, rel=1e-12)
     expected_asym = (
         math.exp(-math.sqrt(200))

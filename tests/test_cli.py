@@ -134,6 +134,28 @@ def test_unparsable_numbers_and_nesting_are_config_errors():
         loads_config("[" * 100_000)
 
 
+def test_repeated_keys_are_rejected():
+    top = '{"command": "bounds", "command": "outage", "config": {"M": 1}}'
+    with pytest.raises(ConfigError, match="duplicate key 'command'"):
+        loads_config(top)
+    inner = json.dumps(base_doc(N=60)).replace('"N": 60', '"N": 60, "N": 70')
+    with pytest.raises(ConfigError, match="duplicate key 'N'"):
+        loads_config(inner)
+
+
+def test_config_file_that_is_not_utf8_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    doc = base_doc()
+    doc["command"] = "bounds"
+    doc["output_path"] = "out-PLACEHOLDER.json"
+    path = tmp_path / "spec.json"
+    path.write_bytes(json.dumps(doc).encode().replace(b"PLACEHOLDER", b"\xff"))
+    assert main(["--config", str(path)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-config" and "UTF-8" in err["message"]
+    assert os.listdir(tmp_path) == ["spec.json"]
+
+
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _VALID_FIELDS = {
     "M": st.integers(1, 2**40),
@@ -283,6 +305,18 @@ def test_package_exports_each_module_all():
     assert sorted(feedbeam.__all__) == sorted(name for name, _ in declared)
     assert len(set(feedbeam.__all__)) == len(feedbeam.__all__)
     assert all(getattr(feedbeam, name) is getattr(m, name) for name, m in declared)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names: dict = {}
+    exec(compile(code, "README.md", "exec"), names)
+    assert names["weights"].shape == (2, 100)
+    h = names["model"].h
+    assert h.sum() - 1e-12 <= names["mean_gain"] <= np.abs(h).sum() + 1e-12
+    assert names["result"].mode == "idealized" and names["result"].rate == names["report"].rate
 
 
 # ---------------------------------------------------------------------------

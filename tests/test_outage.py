@@ -285,7 +285,7 @@ def test_trained_mode_and_all_links(make_config):
     cfg = make_config(M=2, N=50, epsilon_o=0.05, k_o=5.0, trials=1000, seed=23)
     rate = outage_bound(cfg.N, cfg).rate
     res = estimate_outage(cfg, rate, "trained", RandomStream(cfg.seed, "outage"))
-    assert res.weights_mode == "trained"
+    assert res.mode == "trained"
     assert 0.0 <= res.outage_empirical <= 1.0
 
 

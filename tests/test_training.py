@@ -208,11 +208,11 @@ _CHANNEL_ENTRY = st.floats(1e-3, 1e3).flatmap(lambda x: st.sampled_from([x, -x])
 
 
 @st.composite
-def perfect_ensembles(draw):
+def perfect_ensembles(draw, max_n=6, max_k_o=30.0):
     """A small perfect-mode config, a (B, N) channel batch and a decimation."""
-    n, b = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    n, b = draw(st.integers(1, max_n)), draw(st.integers(1, 5))
     config = NetworkConfig(
-        M=1, N=n, P=draw(st.floats(0.1, 100.0)), N_o=1.0, T_f=20, k_o=draw(st.floats(1.0, 30.0)),
+        M=1, N=n, P=draw(st.floats(0.1, 100.0)), N_o=1.0, T_f=20, k_o=draw(st.floats(1.0, max_k_o)),
         epsilon_o=0.1, delta=0.5, seed=draw(st.integers(0, 2**32)), estimation_mode="perfect",
     )
     H = np.array(draw(st.lists(_CHANNEL_ENTRY, min_size=b * n, max_size=b * n))).reshape(b, n)
@@ -257,6 +257,26 @@ def test_trajectory_is_scale_equivariant(make_config):
     assert np.array_equal(w1, w2)
     assert np.array_equal(tr1.accepted, tr2.accepted)
     assert np.allclose(tr2.gain, 3.7 * tr1.gain, rtol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=perfect_ensembles(max_n=8, max_k_o=20.0), k=st.integers(-30, 30))
+def test_power_of_two_scaling_is_exact(case, k):
+    # Scaling H by c = 2^k scales every product and sum exactly, so each
+    # acceptance decision is the same and every gain is exactly c times.
+    config, H, decimation = case
+    c = 2.0**k
+    base, scaled = (
+        train_ensemble(
+            G, config, RandomStream(config.seed, "scale"), record_trace=True, decimation=decimation
+        )
+        for G in (H, c * H)
+    )
+    assert np.array_equal(scaled.weights, base.weights)
+    assert np.array_equal(scaled.accepted, base.accepted)
+    assert np.array_equal(scaled.aligned_count, base.aligned_count)
+    assert np.array_equal(scaled.gain, c * base.gain)
+    assert np.array_equal(scaled.final_gain, c * base.final_gain)
 
 
 def test_ensemble_batch_of_one_matches_reference_path(make_config):
