@@ -20,19 +20,21 @@ way. Results are written atomically (temp file + rename, mode 0o666 less
 the umask) and reruns with the same spec produce byte-identical artifacts
 at any worker count.
 
-Every CSV artifact goes through ``_csv_text``: a runner hands it a record
-array (``_table``), the writer picks one conversion per column from its
-dtype (``%d`` for bools and integers, ``%.17g`` for floats, ``_fmt_cell``
-for object columns). Each block of rows is built as bytes in numpy, with no
-Python string per cell or per row. A bool or integer column whose values
-span fewer values than the block has rows is read from a lookup table that
-formats each value from its minimum to its maximum once. Any other numeric
-column formats each distinct value once and gathers the cells, so a trace
-whose gain changes only at accepted frames formats few values. Floats are
-told apart by their bits, so ``-0.0`` and ``0.0`` keep their own cells. The
-cells and separators go into one fixed-width byte matrix, and one boolean
-compaction per block drops the padding; an object cell keeps exactly its
-UTF-8 bytes, NUL bytes included.
+A runner computes; it returns the record array its CSV is written from
+(``_table``), its JSON document and its summary lines. ``run`` alone picks
+the writer: ``_json_text`` of the document (``_jsonable`` writes a record
+array as one object per row) or ``_csv_text`` of the rows. ``_csv_text``
+picks one conversion per column from its dtype (``%d`` for bools and
+integers, ``%.17g`` for floats, ``_fmt_cell`` for object columns). Each
+block of rows is built as bytes in numpy, with no Python string per cell or
+per row. A bool or integer column whose values span fewer values than the
+block has rows is read from a lookup table that formats each value from its
+minimum to its maximum once. Any other numeric column formats each distinct
+value once and gathers the cells, so a trace whose gain changes only at
+accepted frames formats few values. Floats are told apart by their bits, so
+``-0.0`` and ``0.0`` keep their own cells. The cells and separators go into
+one fixed-width byte matrix, and one boolean compaction per block drops the
+padding; an object cell keeps exactly its UTF-8 bytes, NUL bytes included.
 The columns of ``bounds`` and ``outage`` are the fields of ``BoundReport``
 and ``OutageResult``, in field order; the JSON of ``outage`` adds ``link``.
 """
@@ -53,8 +55,8 @@ import numpy as np
 
 from .bounds import BoundReport, epsilon_max, outage_bound
 from .config import NetworkConfig
-from .errors import ConfigError, FeedbeamError
-from .markov import build_markov, gain_moments_exact, one_step_absorb_probability
+from .errors import CapacityError, ConfigError, FeedbeamError
+from .markov import STATE_LIMIT, build_markov, gain_moments_exact, one_step_absorb_probability
 from .outage import WEIGHTS_MODES, OutageResult, estimate_outage, interference_scaling_probe
 from .protocol import compare_protocols, estimate_interference_power
 from .rng import RandomStream
@@ -111,8 +113,11 @@ class ExperimentSpec:
             object.__setattr__(self, "sweep", tuple(self.sweep))
         if self.format is not None and self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
+        # A NUL cannot be in a file name; the OS calls would raise ValueError for it.
+        if self.output_path is not None and (
+            not isinstance(self.output_path, str) or "\0" in self.output_path
+        ):
+            raise ConfigError(f"output_path must be a string with no NUL, got {self.output_path!r}")
         if self.command is None:
             return
         # Membership in the tuple, not the table: an unhashable command is unknown too.
@@ -189,12 +194,10 @@ def load_config(path: str) -> ExperimentSpec:
 def serialize(spec: ExperimentSpec) -> str:
     """JSON text such that loads_config(serialize(spec)) == spec."""
     doc: dict[str, Any] = {"command": spec.command, "config": spec.config.to_dict()}
-    if spec.sweep is not None:
-        doc["sweep"] = list(spec.sweep)
-    if spec.output_path is not None:
-        doc["output_path"] = spec.output_path
-    if spec.format is not None:
-        doc["format"] = spec.format
+    for key in ("sweep", "output_path", "format"):
+        value = getattr(spec, key)
+        if value is not None:
+            doc[key] = list(value) if key == "sweep" else value
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -265,14 +268,15 @@ def _cells(col: np.ndarray, conversion: str | None) -> tuple[np.ndarray, np.ndar
     return table.take(inverse), None
 
 
-def _csv_text(columns: Sequence[str], rows: np.recarray) -> str:
-    """CSV text of the ``columns`` of the record array ``rows``.
+def _csv_text(rows: np.recarray) -> str:
+    """CSV text of the record array ``rows``, one column per field.
 
     Each column's conversion is picked once from its dtype. Each block of
     rows is built as bytes: the `_cells` of every column and the separators
     go side by side into one fixed-width byte matrix, one row per line, and
     one boolean compaction drops the padding.
     """
+    columns = rows.dtype.names
     fields = [(rows[name], _CONVERSION.get(rows[name].dtype.kind)) for name in columns]
     # One growing buffer, not a list of blocks and their join: at most the
     # bytes and the decoded text are held at once.
@@ -298,18 +302,14 @@ def _csv_text(columns: Sequence[str], rows: np.recarray) -> str:
     return text.decode()
 
 
-def _records(rows: np.recarray) -> list[dict]:
-    """One dict per row of ``rows``, keyed by column name."""
-    names = rows.dtype.names
-    return [dict(zip(names, row)) for row in rows.tolist()]
-
-
 def _jsonable(obj: Any) -> Any:
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.names:  # a record array: one object per row
+            return [_jsonable(dict(zip(obj.dtype.names, row))) for row in obj.tolist()]
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -323,15 +323,6 @@ def _jsonable(obj: Any) -> Any:
 
 def _json_text(doc: Any) -> str:
     return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
-
-
-def _records_text(spec: ExperimentSpec, columns: Sequence[str], docs: list[dict]) -> str:
-    """Text of one record per N: JSON of all fields (a list only when N is
-    swept) or CSV of ``columns``.
-    """
-    if spec.format == "json":
-        return _json_text(docs[0] if spec.sweep is None else docs)
-    return _csv_text(columns, _table(columns, [[d[c] for d in docs] for c in columns]))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -361,7 +352,10 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# command runners: each returns (artifact text, summary lines)
+# command runners: each returns the record array the CSV is written from, the
+# JSON document and the summary lines; `run` picks the writer
+
+_Result = tuple[np.recarray, Any, list[str]]
 
 
 @dataclass(frozen=True)
@@ -388,7 +382,17 @@ def _n_values(spec: ExperimentSpec) -> list[int]:
     return list(spec.sweep) if spec.sweep else [spec.config.N]
 
 
-def _cmd_convergence(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
+def _per_n(
+    spec: ExperimentSpec, columns: Sequence[str], docs: list[dict], summary: list[str]
+) -> _Result:
+    """One record per N: rows of ``columns``, and all fields as the JSON
+    document (a list only when N is swept).
+    """
+    rows = _table(columns, [[d[c] for d in docs] for c in columns])
+    return rows, docs[0] if spec.sweep is None else docs, summary
+
+
+def _cmd_convergence(spec: ExperimentSpec, flags: _Flags) -> _Result:
     cfg = spec.config
     res = run_convergence(cfg, RandomStream(cfg.seed, "convergence"), workers=flags.workers)
     ratio = res.gain[:, :, -1].mean() / res.abs_sum.mean()
@@ -396,10 +400,9 @@ def _cmd_convergence(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str
         f"convergence N={cfg.N} M={cfg.M} trials={cfg.trials} "
         f"frames={res.frames[-1] + 1} final_gain_ratio={ratio:.4f}"
     ]
-    columns = ("trial", "group", "t", "gain", "aligned_count", "accepted")
     k = res.frames.size
     rows = _table(
-        columns,
+        ("trial", "group", "t", "gain", "aligned_count", "accepted"),
         [
             np.repeat(np.arange(cfg.trials), cfg.M * k),
             np.tile(np.repeat(np.arange(cfg.M), k), cfg.trials),
@@ -409,13 +412,13 @@ def _cmd_convergence(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str
             res.accepted.reshape(-1).astype(bool),
         ],
     )
-    if spec.format == "json":
-        return _json_text(_records(rows)), summary
-    return _csv_text(columns, rows), summary
+    return rows, rows, summary
 
 
-def _cmd_markov_verify(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
+def _cmd_markov_verify(spec: ExperimentSpec, flags: _Flags) -> _Result:
     cfg = spec.config
+    if cfg.N > STATE_LIMIT:  # refused before h is drawn
+        raise CapacityError(f"exact chain supports 1 <= N <= {STATE_LIMIT}, got N={cfg.N}")
     if flags.channel is not None:
         h = np.asarray(flags.channel, dtype=float)
         if h.size != cfg.N:
@@ -440,25 +443,24 @@ def _cmd_markov_verify(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[s
         f"absorbing_code={model.absorbing_index} max_dev={worst:.2f} stderr units "
         f"over t={t_checks} ({cfg.trials} trajectories)"
     ]
-    columns = ("state_code", "gain", "p_to_absorbing")
-    rows = _table(columns, [np.arange(model.n_states), model.gains, p_abs])
-    if spec.format == "json":
-        doc = {
-            "N": cfg.N,
-            "h": h,
-            "absorbing_code": model.absorbing_index,
-            "start_code": model.start_index,
-            "states": _records(rows),
-            "expected_gain": [
-                {"t": t, "exact": exact[k], "simulated": sim_mean[k], "stderr": errs[k]}
-                for k, t in enumerate(t_checks)
-            ],
-        }
-        return _json_text(doc), summary
-    return _csv_text(columns, rows), summary
+    rows = _table(
+        ("state_code", "gain", "p_to_absorbing"), [np.arange(model.n_states), model.gains, p_abs]
+    )
+    doc = {
+        "N": cfg.N,
+        "h": h,
+        "absorbing_code": model.absorbing_index,
+        "start_code": model.start_index,
+        "states": rows,
+        "expected_gain": [
+            {"t": t, "exact": exact[k], "simulated": sim_mean[k], "stderr": errs[k]}
+            for k, t in enumerate(t_checks)
+        ],
+    }
+    return rows, doc, summary
 
 
-def _cmd_bounds(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
+def _cmd_bounds(spec: ExperimentSpec, flags: _Flags) -> _Result:
     reports = [outage_bound(n, spec.config) for n in _n_values(spec)]
     summary = [
         f"bounds N={r.N} M={r.M} rate={r.rate:.4f} bound_finite={r.bound_finite:.4g} "
@@ -466,10 +468,10 @@ def _cmd_bounds(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
         for r in reports
     ]
     columns = [f.name for f in dataclasses.fields(BoundReport)]
-    return _records_text(spec, columns, [r.to_dict() for r in reports]), summary
+    return _per_n(spec, columns, [r.to_dict() for r in reports], summary)
 
 
-def _cmd_outage(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
+def _cmd_outage(spec: ExperimentSpec, flags: _Flags) -> _Result:
     cfg = spec.config
     points = [cfg.replace(N=n) for n in _n_values(spec)]
     # Every point's bound, and so its feasibility, is settled before any Monte Carlo runs.
@@ -487,10 +489,10 @@ def _cmd_outage(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
         for r in results
     ]
     columns = [f.name for f in dataclasses.fields(OutageResult)]
-    return _records_text(spec, columns, [r.to_dict() for r in results]), summary
+    return _per_n(spec, columns, [r.to_dict() for r in results], summary)
 
 
-def _cmd_interference_probe(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
+def _cmd_interference_probe(spec: ExperimentSpec, flags: _Flags) -> _Result:
     cfg = spec.config
     n_values = _n_values(spec)
     probe = interference_scaling_probe(
@@ -502,18 +504,13 @@ def _cmd_interference_probe(spec: ExperimentSpec, flags: _Flags) -> tuple[str, l
         for r in probe.rows
     ]
     summary.append(f"interference-probe slope={probe.slope:.4f} over N={n_values}")
-    if spec.format == "json":
-        doc = {
-            "rows": [dataclasses.asdict(r) for r in probe.rows],
-            "slope": probe.slope,
-        }
-        return _json_text(doc), summary
     columns = ("N", "trials", "mean_sq", "control_sq", "sample_mean", "slope")
-    rows = [(r.N, r.trials, r.mean_sq, r.control_sq, r.sample_mean, probe.slope) for r in probe.rows]
-    return _csv_text(columns, _table(columns, list(zip(*rows)))), summary
+    cells = [(r.N, r.trials, r.mean_sq, r.control_sq, r.sample_mean, probe.slope) for r in probe.rows]
+    doc = {"rows": [dataclasses.asdict(r) for r in probe.rows], "slope": probe.slope}
+    return _table(columns, list(zip(*cells))), doc, summary
 
 
-def _cmd_protocol_compare(spec: ExperimentSpec, flags: _Flags) -> tuple[str, list[str]]:
+def _cmd_protocol_compare(spec: ExperimentSpec, flags: _Flags) -> _Result:
     cfg = spec.config
     if cfg.M < 2:
         raise ConfigError("protocol-compare requires M >= 2")
@@ -550,11 +547,11 @@ def _cmd_protocol_compare(spec: ExperimentSpec, flags: _Flags) -> tuple[str, lis
         "N", "M", "sigma_I2", "frame_ratio", "condition_lhs", "condition_rhs",
         "modified_better", "bits_modified", "bits_original", "sigma_source", "rate_assumed",
     )
-    return _records_text(spec, columns, docs), summary
+    return _per_n(spec, columns, docs, summary)
 
 
 class _Command(NamedTuple):
-    runner: Callable[[ExperimentSpec, _Flags], tuple[str, list[str]]]
+    runner: Callable[[ExperimentSpec, _Flags], _Result]
     default_format: str
     # Commands whose artifact schema has no N column cannot sweep N.
     sweepable: bool
@@ -581,8 +578,8 @@ def run(
     """Execute a spec, write its artifact, return the summary lines."""
     flags = _Flags(workers=workers, mode=mode, sigma_source=sigma_source, channel=channel)
     spec = spec.resolved()
-    text, summary = _TABLE[spec.command].runner(spec, flags)
-    _atomic_write(spec.output_path, text)
+    rows, doc, summary = _TABLE[spec.command].runner(spec, flags)
+    _atomic_write(spec.output_path, _json_text(doc) if spec.format == "json" else _csv_text(rows))
     return summary
 
 

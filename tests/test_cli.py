@@ -187,7 +187,7 @@ def valid_specs(draw):
         command=command,
         config=config,
         sweep=None if sweep is None else tuple(sweep),
-        output_path=draw(st.none() | st.text()),
+        output_path=draw(st.none() | st.text().filter(lambda t: "\0" not in t)),
         format=draw(st.sampled_from([None, "csv", "json"])),
     )
 
@@ -227,7 +227,10 @@ _INVALID_FIELDS = {
         | st.lists(st.integers(1, 5), min_size=2, max_size=4).filter(lambda s: len(set(s)) < len(s))
     ),
     "format": (_OTHER_TYPES | st.integers()).filter(lambda v: v not in ("csv", "json", None)),
-    "output_path": st.booleans() | st.integers() | st.floats() | st.lists(st.text(), max_size=2),
+    "output_path": (
+        st.booleans() | st.integers() | st.floats() | st.lists(st.text(), max_size=2)
+        | st.builds("{}\0{}".format, st.text(), st.text())
+    ),
 }
 
 
@@ -415,6 +418,57 @@ def test_single_group_bounds_do_not_depend_on_delta(tmp_path):
         assert reports[0][key] == reports[1][key], key
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "must be a JSON object"),
+        (json.dumps({"command": "bounds"}), "missing key: config"),
+        (json.dumps({"command": "bounds", "config": [1]}), "config must be an object"),
+        (json.dumps(base_doc(N=50, M=2, epsilon_o=0.05)), "no command given"),
+        (json.dumps({**base_doc(M=1), "command": "protocol-compare"}), "requires M >= 2"),
+        (None, "cannot read config file"),
+    ],
+    ids=["top-level-list", "no-config", "config-not-object", "no-command", "protocol-M1",
+         "unreadable"],
+)
+def test_malformed_spec_exit_code(tmp_path, monkeypatch, capsys, text, message):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "spec.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["--config", str(path)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-config"
+    assert message in err["message"]
+    assert [p.name for p in tmp_path.iterdir()] == (["spec.json"] if text is not None else [])
+
+
+def test_output_path_with_nul_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    doc = base_doc(N=50, M=2, epsilon_o=0.05)
+    doc["command"] = "bounds"
+    path = write_doc(tmp_path, doc)
+    assert main(["--config", path, "--out", "a\0b.json"]) == EXIT_CONFIG
+    doc["output_path"] = "a\0b.json"
+    assert main(["--config", write_doc(tmp_path, doc, "nul.json")]) == EXIT_CONFIG
+    for err in capsys.readouterr().err.splitlines():
+        assert json.loads(err)["error"] == "invalid-config"
+        assert "output_path" in json.loads(err)["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nul.json", "spec.json"]
+
+
+def test_markov_verify_refuses_huge_n_before_drawing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(feedbeam.cli, "RandomStream", None)  # any draw would fail
+    doc = base_doc(N=2**62)
+    doc["command"] = "markov-verify"
+    out = tmp_path / "markov.csv"
+    assert main(["--config", write_doc(tmp_path, doc), "--out", str(out)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-config"
+    assert err["message"] == f"exact chain supports 1 <= N <= 14, got N={2**62}"
+    assert not out.exists()
+
+
 def test_unwritable_path_exit_code(tmp_path, capsys):
     doc = base_doc(N=50, M=2, epsilon_o=0.05)
     doc["command"] = "bounds"
@@ -422,6 +476,12 @@ def test_unwritable_path_exit_code(tmp_path, capsys):
     out = str(tmp_path / "no-such-dir" / "x.json")
     assert main(["--config", path, "--out", out]) == EXIT_UNWRITABLE
     assert json.loads(capsys.readouterr().err)["error"] == "unwritable-path"
+    # The rename onto a directory fails after the temp file is written; it is removed.
+    (tmp_path / "taken").mkdir()
+    assert main(["--config", path, "--out", str(tmp_path / "taken")]) == EXIT_UNWRITABLE
+    assert json.loads(capsys.readouterr().err)["error"] == "unwritable-path"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json", "taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -641,6 +701,27 @@ def test_interference_probe_sweep(tmp_path):
     assert len(lines) == 3
 
 
+def test_interference_probe_json_matches_csv(tmp_path):
+    doc = base_doc(N=20, trials=200, k_o=4.0)
+    doc["command"] = "interference-probe"
+    doc["sweep"] = [20, 30, 40]
+    path = write_doc(tmp_path, doc)
+    out_csv, out_json = str(tmp_path / "probe.csv"), str(tmp_path / "probe.json")
+    assert main(["--config", path, "--out", out_csv]) == EXIT_OK
+    assert main(["--config", path, "--out", out_json, "--format", "json"]) == EXIT_OK
+    lines = open(out_csv).read().splitlines()
+    csv_rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    report = json.loads(open(out_json).read())
+    assert sorted(report) == ["rows", "slope"]
+    fields = ["N", "trials", "mean_sq", "control_sq", "sample_mean"]
+    assert [sorted(r) for r in report["rows"]] == [sorted(fields)] * 3
+    assert [r["N"] for r in report["rows"]] == [20, 30, 40]
+    for row, csv_row in zip(report["rows"], csv_rows):
+        for name in fields:
+            assert float(csv_row[name]) == row[name], name
+        assert float(csv_row["slope"]) == report["slope"]
+
+
 def test_protocol_compare_json(tmp_path):
     doc = base_doc(N=32, M=4, P=10.0, N_o=1.0, trials=128, k_o=4.0)
     doc["command"] = "protocol-compare"
@@ -791,7 +872,7 @@ def test_csv_writer_matches_per_cell_formatting(data):
     columns = [f"c{i}" for i in range(len(kinds))]
     rows = _table(columns, values)
     assert len(rows) == n_rows
-    assert _csv_text(columns, rows) == per_cell_csv(columns, list(zip(*values)))
+    assert _csv_text(rows) == per_cell_csv(columns, list(zip(*values)))
 
 
 def test_csv_writer_blocks_and_array_columns():
@@ -809,7 +890,7 @@ def test_csv_writer_blocks_and_array_columns():
     ]
     columns = ["trial", "gain", "accepted", "code", "bound_finite", "mode"]
     rows = _table(columns, values)
-    text = _csv_text(columns, rows)
+    text = _csv_text(rows)
     assert text == per_cell_csv(columns, list(zip(*values)))
     assert text.count("\n") == n + 1
     assert ",None," in text and ",-0," in text
@@ -837,7 +918,7 @@ def test_csv_writer_repeated_values_across_blocks():
         zeros = zeros[zeros == 0]
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
     columns = ["group", "gain", "accepted", "code", "gain32"]
-    text = _csv_text(columns, _table(columns, values))
+    text = _csv_text(_table(columns, values))
     assert text == per_cell_csv(columns, list(zip(*values)))
     for cell in ("-0", "0", "nan", "inf", "-inf", "4.9406564584124654e-324"):
         assert f",{cell}," in text, cell
@@ -871,7 +952,7 @@ def test_csv_writer_edge_cells_across_two_block_edges():
     zeros[:_BLOCK_ROWS] = -0.0
     values = [text_cells, wide, big, small, flags, single, zeros]
     columns = ["text", "wide", "big", "small", "flag", "single", "zero"]
-    text = _csv_text(columns, _table(columns, values))
+    text = _csv_text(_table(columns, values))
     assert text == per_cell_csv(columns, list(zip(*values)))
     lines = text.split("\n")
     assert lines[1] == f"\0,{-(2**63)},{int(big[0])},-128,{int(flags[0])},-0,-0"

@@ -101,6 +101,40 @@ def test_perturb_flips_deterministically_at_single_source():
     assert np.array_equal(cells, np.arange(5000))
 
 
+class _ShortBatches:
+    """A generator whose ``geometric`` returns at most ``batch`` draws per call."""
+
+    def __init__(self, gen, batch):
+        self.gen, self.batch, self.calls = gen, batch, 0
+
+    def geometric(self, p, size):
+        self.calls += 1
+        return self.gen.geometric(p, min(size, self.batch))
+
+
+def test_flip_cells_refill_matches_one_long_draw():
+    # Short batches force several refills; batches of one stream concatenate
+    # bit for bit, so the cells equal those of one long draw.
+    n, n_cells = 10, 5000
+    gen = _ShortBatches(RandomStream(11, "refill").generator(), 37)
+    cells = _flip_cells(gen, n_cells, n)
+    assert gen.calls > 5
+    long_draw = RandomStream(11, "refill").generator().geometric(1.0 / n, 4 * n_cells // n)
+    pos = np.cumsum(long_draw) - 1
+    assert pos[-1] >= n_cells
+    assert np.array_equal(cells, pos[pos < n_cells])
+
+
+def test_flip_cells_refill_with_unit_gaps_flips_every_cell():
+    # Gaps of 1 where p = 1/1000 expects gaps near 1000: each batch ends short of
+    # the last cell, so the kernel refills until it passes it.
+    class UnitGaps:
+        def geometric(self, p, size):
+            return np.ones(size, dtype=np.int64)
+
+    assert np.array_equal(_flip_cells(UnitGaps(), 100, 1000), np.arange(100))
+
+
 def test_perturb_applies_flip_rule_elementwise():
     # Cells come out sorted and distinct, inside the block, and uniform over
     # the sources of a frame and over the trials of a block.
