@@ -17,12 +17,7 @@ from .config import NetworkConfig
 from .errors import DimensionError
 from .rng import RandomStream
 
-__all__ = ["ChannelRealization", "generate_channels", "link_amplitudes", "abs_moment", "sign_pm"]
-
-
-def sign_pm(x: np.ndarray | float) -> np.ndarray:
-    """Sign in {-1, +1} with the convention sign(0) = +1."""
-    return np.where(np.asarray(x, dtype=float) >= 0.0, 1.0, -1.0)
+__all__ = ["ChannelRealization", "generate_channels", "link_amplitudes", "abs_moment"]
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,13 @@ The file must be UTF-8, and unknown or repeated keys are rejected at any
 level. ``--command``, ``--out``, ``--format`` and ``--seed`` override the
 file. A spec checks its values when it is built, so one built in code gets
 the same checks as a spec file; the flags of ``run`` check theirs the same
-way. Results are written atomically (temp file + rename, mode 0o666 less
-the umask) and reruns with the same spec produce byte-identical artifacts
-at any worker count.
+way. The parser only parses: the spec and ``run`` hold every valid value
+and default, and ``main`` passes ``run`` only the flags given. A flag the
+parser cannot read is a ``ConfigError`` too, so ``main`` returns the code of
+any bad input with one JSON line on stderr and never raises; only
+``--help`` exits. Results are written atomically (temp file + rename, mode
+0o666 less the umask) and reruns with the same spec produce byte-identical
+artifacts at any worker count.
 
 A runner computes; it returns the record array its CSV is written from
 (``_table``), its JSON document and its summary lines. ``run`` alone picks
@@ -43,13 +47,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -434,7 +439,7 @@ def _cmd_markov_verify(spec: ExperimentSpec, flags: _Flags) -> _Result:
     # True (chain-induced) Monte Carlo standard error: sample variance
     # degenerates once every trajectory is absorbed.
     errs = np.array([m[1] for m in moments]) / math.sqrt(cfg.trials)
-    sim_mean, _ = ensemble_gain_stats(
+    sim_mean = ensemble_gain_stats(
         h, t_checks, cfg.trials, cfg, RandomStream(cfg.seed, "markov/sim"), workers=flags.workers
     )
     worst = float(np.max(np.abs(sim_mean - exact) / np.maximum(errs, 1e-300)))
@@ -583,28 +588,36 @@ def run(
     return summary
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:  # a bad flag is a bad config, not an exit
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    """Options only: a flag left out is absent from the namespace, and the spec
+    and `run` check every value and hold every default."""
+    default = {k: v.default for k, v in inspect.signature(run).parameters.items()}
+    p = _Parser(
         prog="feedbeam",
         description="Simulate and analyze 1-bit-feedback distributed beamforming networks.",
+        argument_default=argparse.SUPPRESS,
     )
     p.add_argument("--config", required=True, help="path to the experiment JSON file")
     p.add_argument("--command", help=f"override the command ({', '.join(COMMANDS)})")
     p.add_argument("--out", help="override the output path")
-    p.add_argument("--format", choices=FORMATS, help="override the output format")
-    p.add_argument("--workers", type=int, default=1, help="max parallel workers (default 1)")
+    p.add_argument("--format", help=f"override the output format ({', '.join(FORMATS)})")
+    p.add_argument(
+        "--workers", type=int, help=f"max parallel workers (default {default['workers']})"
+    )
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument(
         "--mode",
-        choices=WEIGHTS_MODES,
-        default="idealized",
-        help="weights mode for the outage command (default idealized)",
+        help=f"outage weights mode ({', '.join(WEIGHTS_MODES)}; default {default['mode']})",
     )
     p.add_argument(
         "--sigma-source",
-        choices=SIGMA_SOURCES,
-        default="monte-carlo",
-        help="sigma_I^2 source for protocol-compare (default monte-carlo)",
+        help=f"sigma_I^2 source for protocol-compare ({', '.join(SIGMA_SOURCES)}; "
+        f"default {default['sigma_source']})",
     )
     p.add_argument(
         "--channel",
@@ -614,30 +627,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Exit code of one invocation; a failure prints one JSON line on stderr. Only --help exits."""
     try:
-        spec = load_config(args.config)
-        if args.command is not None:
-            spec = dataclasses.replace(spec, command=args.command)
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, config=spec.config.replace(seed=args.seed))
-        if args.out is not None:
-            spec = dataclasses.replace(spec, output_path=args.out)
-        if args.format is not None:
-            spec = dataclasses.replace(spec, format=args.format)
-        channel = None
-        if args.channel is not None:
-            try:
-                channel = np.array([float(x) for x in args.channel.split(",")])
-            except ValueError:
-                raise ConfigError(f"cannot parse --channel {args.channel!r}")
-        summary = run(
+        flags = vars(_build_parser().parse_args(argv))
+        spec = load_config(flags.pop("config"))
+        spec = dataclasses.replace(
             spec,
-            workers=args.workers,
-            mode=args.mode,
-            sigma_source=args.sigma_source,
-            channel=channel,
+            command=flags.pop("command", spec.command),
+            config=spec.config.replace(seed=flags.pop("seed", spec.config.seed)),
+            output_path=flags.pop("out", spec.output_path),
+            format=flags.pop("format", spec.format),
         )
+        if "channel" in flags:
+            try:
+                flags["channel"] = np.array([float(x) for x in flags["channel"].split(",")])
+            except ValueError:
+                raise ConfigError(f"cannot parse --channel {flags['channel']!r}")
+        # What is left are the flags of `run` that were given; it holds the defaults.
+        summary = run(spec, **flags)
     except UnknownCommandError as e:
         print(json.dumps({"error": "unknown-command", "message": str(e)}), file=sys.stderr)
         return EXIT_UNKNOWN_COMMAND

@@ -91,7 +91,7 @@ def test_criterion_2_simulator_matches_exact_chain():
             gaps = np.min(np.diff(np.sort(model.gains)))
             assert gaps > 1e-6, "oracle channel has near-tied states"
             cfg = _config(N=n)
-            mean, _ = ensemble_gain_stats(
+            mean = ensemble_gain_stats(
                 h, t_list, trajectories, cfg, RandomStream(cfg.seed, f"acc2/N{n}/{k}")
             )
             for idx, t in enumerate(t_list):

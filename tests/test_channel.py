@@ -11,7 +11,6 @@ from feedbeam import (
     RandomStream,
     abs_moment,
     generate_channels,
-    sign_pm,
 )
 
 
@@ -86,8 +85,3 @@ def test_abs_moment_quadrature_oracle():
     value, err = quad(lambda x: 2.0 * x * phi(x), 0.0, np.inf)
     assert err < 1e-7
     assert abs(value - abs_moment()) < 1e-10
-
-
-def test_sign_convention_at_zero():
-    assert sign_pm(0.0) == 1.0
-    assert np.array_equal(sign_pm(np.array([-2.0, 0.0, 3.0])), [-1.0, 1.0, 1.0])

@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,8 @@ from feedbeam.cli import (
     EXIT_OK,
     EXIT_UNKNOWN_COMMAND,
     EXIT_UNWRITABLE,
+    FORMATS,
+    SIGMA_SOURCES,
     ExperimentSpec,
     _atomic_write,
     _csv_text,
@@ -34,6 +39,8 @@ from feedbeam.cli import (
     serialize,
 )
 from feedbeam.config import ESTIMATION_MODES, NetworkConfig
+from feedbeam.outage import WEIGHTS_MODES
+from feedbeam.util import TRAJ_CHUNK, TRIAL_CHUNK
 
 
 def base_doc(**config_overrides):
@@ -497,6 +504,105 @@ def test_nonpositive_workers_exit_code(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+# Flags the parser cannot read, and values the spec or `run` refuse: each returns 2
+# with one JSON line that names the flag or the value.
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--out", "x.json"], ["--config"]),
+        (["--bogus", "1"], ["--bogus"]),
+        (["--format", "xml"], ["format", "'xml'"]),
+        (["--mode", "bogus"], ["mode", "'bogus'"]),
+        (["--sigma-source", "nope"], ["sigma_source", "'nope'"]),
+        (["--workers", "abc"], ["--workers", "'abc'"]),
+        (["--seed", "x"], ["--seed", "'x'"]),
+    ],
+    ids=["no-config", "unknown-flag", "format", "mode", "sigma-source", "workers", "seed"],
+)
+def test_bad_flag_exit_code(tmp_path, monkeypatch, capsys, flags, named):
+    monkeypatch.chdir(tmp_path)
+    doc = base_doc(N=50, M=2, epsilon_o=0.05)
+    doc["command"] = "bounds"
+    path = write_doc(tmp_path, doc)
+    argv = flags if flags[0] == "--out" else ["--config", path, *flags]
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    err = json.loads(err)
+    assert err["error"] == "invalid-config"
+    assert all(word in err["message"] for word in named), err["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+def test_help_lists_allowed_values_and_exits_zero(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside a value
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    for values in (COMMANDS, FORMATS, WEIGHTS_MODES, SIGMA_SOURCES):
+        assert ", ".join(values) in text
+
+
+# Values of each flag that the spec and `run` accept, and values they refuse; the
+# paths of --config and --out are drawn under each example's own directory.
+_GOOD_FLAGS = {
+    "--command": ["bounds", "outage", "convergence", "markov-verify"],
+    "--format": ["csv", "json"],
+    # One trial is one chunk, so every run is serial whatever the count.
+    "--workers": ["1", "2"],
+    "--seed": ["0", "7", "-1"],
+    "--mode": ["idealized", "trained"],
+    "--sigma-source": ["monte-carlo", "analytic"],
+    # Parsed, then refused by markov-verify unless it holds N nonzero entries.
+    "--channel": ["1,2", ",".join(map(str, range(1, 11))), ",".join(map(str, range(10)))],
+}
+_BAD_FLAGS = {
+    "--command": ["nope"],
+    "--format": ["xml"],
+    "--workers": ["0", "-3", "abc"],
+    "--seed": ["x"],
+    "--mode": ["bogus"],
+    "--sigma-source": ["nope"],
+    "--channel": ["1,x"],
+    "--bogus": ["1"],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.sampled_from([10, 50]))
+def test_main_returns_a_code_and_one_json_line_for_any_flags(tmp_path_factory, data, n):
+    tmp = tmp_path_factory.mktemp("argv")
+    doc = base_doc(N=n, epsilon_o=0.05, k_o=2.0)
+    doc["config"].pop("trials")
+    doc.update(command="bounds", output_path=str(tmp / "spec-out"))
+    good = {**_GOOD_FLAGS, "--config": [write_doc(tmp, doc)], "--out": [str(tmp / "out")]}
+    bad = {
+        **_BAD_FLAGS,
+        "--config": [None, str(tmp / "absent.json")],  # left out, or a missing file
+        "--out": [str(tmp), str(tmp / "a\0b")],  # a directory, or a path holding NUL
+    }
+    flags = data.draw(
+        st.fixed_dictionaries(
+            {"--config": st.sampled_from(good["--config"])},
+            optional={k: st.sampled_from(v) for k, v in good.items() if k != "--config"},
+        )
+    )
+    wrong = data.draw(st.none() | st.sampled_from(sorted(bad)))
+    if wrong is not None:
+        flags[wrong] = data.draw(st.sampled_from(bad[wrong]))
+    pairs = data.draw(st.permutations([(k, v) for k, v in flags.items() if v is not None]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg for pair in pairs for arg in pair])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_UNKNOWN_COMMAND, EXIT_UNWRITABLE)
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+    else:
+        (line,) = err.getvalue().splitlines()
+        assert json.loads(line)["error"] in ("invalid-config", "unknown-command", "unwritable-path")
+
+
 def last_line_of_python(code):
     """Last line printed by ``code`` run in a fresh interpreter that imports this package."""
     src = str(Path(feedbeam.__file__).resolve().parents[1])
@@ -507,37 +613,6 @@ def last_line_of_python(code):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
-
-
-def test_bounds_run_does_not_import_scipy_optimize(tmp_path):
-    doc = base_doc(N=50, M=1, epsilon_o=0.05)
-    doc["command"] = "bounds"
-    path = write_doc(tmp_path, doc)
-    out = str(tmp_path / "bounds.json")
-    code = (
-        "import sys\n"
-        "import feedbeam.cli\n"
-        f"code = feedbeam.cli.main(['--config', {path!r}, '--out', {out!r}])\n"
-        "print(code, 'scipy.optimize' in sys.modules)\n"
-    )
-    assert last_line_of_python(code) == f"{EXIT_OK} False"
-
-
-def test_oracle_does_not_import_scipy_linalg(tmp_path):
-    doc = base_doc(N=11, trials=20)
-    doc["command"] = "markov-verify"
-    path = write_doc(tmp_path, doc)
-    out = str(tmp_path / "markov.csv")
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "import feedbeam.cli\n"
-        "from feedbeam.markov import absorption_time_stats, build_markov\n"
-        f"code = feedbeam.cli.main(['--config', {path!r}, '--out', {out!r}])\n"
-        "mean, _ = absorption_time_stats(build_markov(np.linspace(-1.0, 2.0, 11)))\n"
-        "print(code, mean > 0, 'scipy.linalg' in sys.modules)\n"
-    )
-    assert last_line_of_python(code) == f"{EXIT_OK} True False"
 
 
 # One tiny run of every command: bounds at M = 1 and 2, outage in both weights modes,
@@ -765,6 +840,39 @@ def test_artifacts_are_byte_identical_across_reruns_and_workers(tmp_path, name):
     assert main(["--config", path, "--out", outs[2], "--workers", "2", *flags]) == EXIT_OK
     blobs = [open(o, "rb").read() for o in outs]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+# Each Monte Carlo command with trials, or trajectories, that span two chunks;
+# the keyword arguments of `run` besides the workers.
+_TWO_CHUNKS = {
+    "convergence": (dict(M=2, N=6, trials=TRIAL_CHUNK + 1), {}),
+    "markov-verify": (dict(N=4, trials=TRAJ_CHUNK + 1), {}),
+    "outage-idealized": (dict(M=2, N=50, trials=TRAJ_CHUNK + 1), dict(mode="idealized")),
+    "outage-trained": (dict(M=2, N=50, trials=TRIAL_CHUNK + 1), dict(mode="trained")),
+    "interference-probe": (dict(N=6, trials=TRIAL_CHUNK + 1), {}),
+    "protocol-compare": (dict(M=2, N=6, trials=TRIAL_CHUNK + 1), {}),
+}
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_TWO_CHUNKS)),
+    seed=st.integers(0, 2**64 - 1),
+    k_o=st.sampled_from([1.0, 2.0]),
+    fmt=st.sampled_from(FORMATS),
+)
+def test_run_artifacts_do_not_depend_on_worker_count(name, seed, k_o, fmt):
+    config, flags = _TWO_CHUNKS[name]
+    config = NetworkConfig(**base_doc(**config, seed=seed, k_o=k_o, epsilon_o=0.05)["config"])
+    command = name.removesuffix("-idealized").removesuffix("-trained")
+    spec = ExperimentSpec(command, config, format=fmt)
+    with tempfile.TemporaryDirectory() as tmp:
+        blobs = []
+        for workers in (1, 2):
+            out = os.path.join(tmp, f"workers{workers}")
+            run(dataclasses.replace(spec, output_path=out), workers=workers, **flags)
+            blobs.append(Path(out).read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_seed_override_changes_artifact(tmp_path):

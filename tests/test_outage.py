@@ -15,7 +15,6 @@ from feedbeam import (
     estimate_outage,
     interference_scaling_probe,
     outage_bound,
-    sign_pm,
     sinr,
     train_ensemble,
 )
@@ -47,7 +46,7 @@ def test_aligned_weights_maximize_signal(make_config):
     cfg = make_config(M=1, N=6, P=2.0, N_o=1.0)
     h = RandomStream(5, "h").generator().standard_normal((1, 1, 6))
     ch = ChannelRealization(h)
-    best = sinr(ch, sign_pm(h[0]), 0, cfg)
+    best = sinr(ch, np.where(h[0] >= 0, 1.0, -1.0), 0, cfg)
     gen = RandomStream(5, "w").generator()
     for _ in range(25):
         w = np.where(gen.random((1, 6)) < 0.5, -1.0, 1.0)
@@ -207,7 +206,8 @@ def _reference_outage_count(cfg, rate, mode, stream):
         k = cfg.reverse_count
         reverse = u < np.sort(u, axis=-1)[..., k : k + 1]
         assert np.all(reverse.sum(axis=-1) == k)
-        w = np.where(reverse, -sign_pm(own), sign_pm(own))
+        sign = np.where(own >= 0, 1.0, -1.0)
+        w = np.where(reverse, -sign, sign)
     else:
         w = np.stack(
             [train_ensemble(own[:, r], cfg, stream.child(f"train/{r}")).weights for r in range(M)],
