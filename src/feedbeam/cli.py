@@ -401,17 +401,17 @@ def _cmd_convergence(spec: ExperimentSpec, flags: _Flags) -> _Result:
     cfg = spec.config
     res = run_convergence(cfg, RandomStream(cfg.seed, "convergence"), workers=flags.workers)
     ratio = res.gain[:, :, -1].mean() / res.abs_sum.mean()
+    k = res.gain.shape[2]
     summary = [
         f"convergence N={cfg.N} M={cfg.M} trials={cfg.trials} "
-        f"frames={res.frames[-1] + 1} final_gain_ratio={ratio:.4f}"
+        f"frames={k} final_gain_ratio={ratio:.4f}"
     ]
-    k = res.frames.size
     rows = _table(
         ("trial", "group", "t", "gain", "aligned_count", "accepted"),
         [
             np.repeat(np.arange(cfg.trials), cfg.M * k),
             np.tile(np.repeat(np.arange(cfg.M), k), cfg.trials),
-            np.tile(res.frames, cfg.trials * cfg.M),
+            np.tile(np.arange(k), cfg.trials * cfg.M),
             res.gain.reshape(-1),
             res.aligned_count.reshape(-1),
             res.accepted.reshape(-1).astype(bool),
@@ -524,14 +524,13 @@ def _cmd_protocol_compare(spec: ExperimentSpec, flags: _Flags) -> _Result:
     for n in _n_values(spec):
         cfg_n = cfg.replace(N=n)
         if flags.sigma_source == "monte-carlo":
-            est = estimate_interference_power(
+            per_link = estimate_interference_power(
                 cfg_n, RandomStream(cfg.seed, f"protocol/N/{n}"), workers=flags.workers
             )
-            per_link = est.per_link
-            sigma = est.mean_active
         else:
             per_link = np.array([i * cfg_n.P for i in range(cfg_n.M)])
-            sigma = float(per_link[1:].mean())
+        # Average over the links that see interference (i >= 1).
+        sigma = float(per_link[1:].mean())
         report = compare_protocols(sigma, cfg_n, rate_assumed)
         docs.append(
             {
@@ -594,11 +593,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """Options only: a flag left out is absent from the namespace, and the spec
-    and `run` check every value and hold every default."""
+    """Options only, each matched by its full name: a flag left out is absent
+    from the namespace, and the spec and `run` check every value and hold
+    every default."""
     default = {k: v.default for k, v in inspect.signature(run).parameters.items()}
     p = _Parser(
         prog="feedbeam",
+        allow_abbrev=False,
         description="Simulate and analyze 1-bit-feedback distributed beamforming networks.",
         argument_default=argparse.SUPPRESS,
     )

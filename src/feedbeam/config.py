@@ -14,9 +14,6 @@ __all__ = ["NetworkConfig", "ESTIMATION_MODES"]
 
 ESTIMATION_MODES = ("perfect", "noisy")
 
-# Fields that may be omitted from a config document; everything else is a
-# physics/protocol parameter and silent defaults would corrupt reproduction.
-_OPTIONAL_DEFAULTS: dict[str, Any] = {"estimation_mode": "perfect", "trials": 1}
 # Bools are rejected for both kinds even though Python counts them as ints.
 _INT_FIELDS = ("M", "N", "T_f", "seed", "trials")
 _REAL_FIELDS = ("P", "N_o", "k_o", "epsilon_o", "delta")
@@ -114,20 +111,21 @@ class NetworkConfig:
     def from_dict(cls, doc: dict[str, Any]) -> "NetworkConfig":
         """Build a config from a parsed JSON object, rejecting unknown keys.
 
-        Only ``estimation_mode`` and ``trials`` may be omitted; physics and
-        protocol parameters have no defaults.
+        Only the fields with a default (``estimation_mode`` and ``trials``)
+        may be omitted; physics and protocol parameters have none, since a
+        silent default would corrupt reproduction.
         """
         if not isinstance(doc, dict):
             raise ConfigError(f"config must be an object, got {type(doc).__name__}")
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(doc) - names)
+        fields = dataclasses.fields(cls)
+        unknown = sorted(set(doc) - {f.name for f in fields})
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-        missing = sorted(names - set(doc) - set(_OPTIONAL_DEFAULTS))
+        missing = sorted(
+            f.name for f in fields if f.name not in doc and f.default is dataclasses.MISSING
+        )
         if missing:
             raise ConfigError(f"missing config key(s): {', '.join(missing)}")
-        values = dict(_OPTIONAL_DEFAULTS)
-        values.update(doc)
-        config = cls(**values)
+        config = cls(**doc)
         # Real fields hold floats even when the document gives integers.
         return config.replace(**{name: float(getattr(config, name)) for name in _REAL_FIELDS})

@@ -31,7 +31,6 @@ __all__ = [
     "interference_power",
     "frame_ratio",
     "compare_protocols",
-    "InterferenceEstimate",
     "estimate_interference_power",
 ]
 
@@ -122,19 +121,6 @@ def compare_protocols(sigma_I2: float, config: NetworkConfig, R: float) -> Proto
     )
 
 
-@dataclass(frozen=True)
-class InterferenceEstimate:
-    """Monte Carlo sigma_I^2 per destination (index i averages over trials)."""
-
-    per_link: np.ndarray
-    trials: int
-
-    @property
-    def mean_active(self) -> float:
-        """Average over the links that actually see interference (i >= 1)."""
-        return float(self.per_link[1:].mean())
-
-
 def _interference_sums(
     config: NetworkConfig, h: np.ndarray, trained: list[EnsembleResult], sub: RandomStream
 ) -> np.ndarray:
@@ -144,12 +130,13 @@ def _interference_sums(
 
 def estimate_interference_power(
     config: NetworkConfig, stream: RandomStream, workers: int = 1
-) -> InterferenceEstimate:
-    """Train groups over ``config.trials`` networks and average sigma_I^2 per link."""
+) -> np.ndarray:
+    """Train groups over ``config.trials`` networks and average sigma_I^2 per link.
+
+    Entry i is the Monte Carlo sigma_I^2 at destination i; entry 0 is 0.
+    """
     if config.M < 2:
         raise DomainError("interference estimation requires M >= 2")
     # Only groups 0 .. M-2 ever interfere with a later group's training.
     parts = map_networks(_interference_sums, config, stream, range(config.M - 1), workers)
-    return InterferenceEstimate(
-        per_link=np.sum(parts, axis=0) / config.trials, trials=config.trials
-    )
+    return np.sum(parts, axis=0) / config.trials

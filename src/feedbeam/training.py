@@ -31,7 +31,7 @@ draws no networks and keeps its own chunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -70,11 +70,8 @@ class TrainingTrace:
     frame-t update (frame 0 is initialization), aligned_count[t] the number
     of sources with h_j * alpha_hat_j > 0, accepted[t] whether frame t's
     perturbation was accepted (False at t = 0, where nothing is proposed).
-    With decimation d only every d-th frame is stored; ``frames`` holds the
-    stored frame indices.
     """
 
-    frames: np.ndarray
     gain: np.ndarray
     aligned_count: np.ndarray
     accepted: np.ndarray
@@ -122,7 +119,6 @@ def train_group(
     h = _require_length(h_group, config.N)
     res = train_ensemble(h[np.newaxis, :], config, stream, record_trace=True)
     trace = TrainingTrace(
-        frames=res.frames,
         gain=res.gain[0],
         aligned_count=res.aligned_count[0],
         accepted=res.accepted[0],
@@ -159,13 +155,12 @@ class EnsembleResult:
     """Lockstep training of B independent trials (one group each).
 
     ``weights`` is (B, N), ``final_gain`` the true combined amplitude per
-    trial at the last frame. Trace arrays are (B, n_recorded) and present
-    only when recording was requested.
+    trial at the last frame. Trace arrays are (B, n_frames), column t
+    holding frame t, and present only when recording was requested.
     """
 
     weights: np.ndarray
     final_gain: np.ndarray
-    frames: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     gain: np.ndarray | None = None
     aligned_count: np.ndarray | None = None
     accepted: np.ndarray | None = None
@@ -177,7 +172,6 @@ def train_ensemble(
     stream: RandomStream,
     n_frames: int | None = None,
     record_trace: bool = False,
-    decimation: int = 1,
 ) -> EnsembleResult:
     """Train B trials with per-trial channels H (B, N) in frame lockstep.
 
@@ -185,14 +179,13 @@ def train_ensemble(
     ``_flip_cells``), drawn ahead in blocks of frames since proposals never
     depend on the state; noisy-mode estimation errors come from
     ``stream.child("noise")``, B normals at initialization and B per frame.
-    Recorded gains are kept incrementally; ``final_gain`` is recomputed from
-    the final weights, free of accumulated rounding.
+    With ``record_trace`` every frame is recorded, frame t in column t;
+    the gains are kept incrementally, while ``final_gain`` is recomputed
+    from the final weights, free of accumulated rounding.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[1] != config.N:
         raise DimensionError(f"H must have shape (B, {config.N}), got {H.shape}")
-    if decimation < 1:
-        raise ConfigError(f"decimation must be >= 1, got {decimation}")
     B, N = H.shape
     total = config.block_frames if n_frames is None else int(n_frames)
     if total < 1:
@@ -211,15 +204,14 @@ def train_ensemble(
     if noisy:
         best = best + sigma * gen_w.standard_normal(B)
 
-    rec_frames = np.arange(0, total, decimation)
+    rec_gain = rec_aligned = rec_accepted = None
     if record_trace:
-        rec_gain = np.empty((B, rec_frames.size))
-        rec_aligned = np.empty((B, rec_frames.size), dtype=np.int32)
-        rec_accepted = np.zeros((B, rec_frames.size), dtype=bool)
+        rec_gain = np.empty((B, total))
+        rec_aligned = np.empty((B, total), dtype=np.int32)
+        rec_accepted = np.zeros((B, total), dtype=bool)
         aligned = (H > 0).sum(axis=1)
         rec_gain[:, 0] = gain
         rec_aligned[:, 0] = aligned
-    next_rec = 1
 
     frame_cells = B * N
     block = max(1, FLIP_BLOCK // max(B, 1))
@@ -249,23 +241,17 @@ def train_ensemble(
                 aligned -= np.bincount(row[hit], weights=np.sign(ha[hit]), minlength=B).astype(
                     aligned.dtype
                 )
-                if next_rec < rec_frames.size and t0 + k == rec_frames[next_rec]:
-                    rec_gain[:, next_rec] = gain
-                    rec_aligned[:, next_rec] = aligned
-                    rec_accepted[:, next_rec] = acc
-                    next_rec += 1
+                rec_gain[:, t0 + k] = gain
+                rec_aligned[:, t0 + k] = aligned
+                rec_accepted[:, t0 + k] = acc
 
-    final_gain = (H * A).sum(axis=1)
-    if record_trace:
-        return EnsembleResult(
-            weights=A,
-            final_gain=final_gain,
-            frames=rec_frames,
-            gain=rec_gain,
-            aligned_count=rec_aligned,
-            accepted=rec_accepted,
-        )
-    return EnsembleResult(weights=A, final_gain=final_gain)
+    return EnsembleResult(
+        weights=A,
+        final_gain=(H * A).sum(axis=1),
+        gain=rec_gain,
+        aligned_count=rec_aligned,
+        accepted=rec_accepted,
+    )
 
 
 def network_chunk(
@@ -275,21 +261,23 @@ def network_chunk(
     chunk_index: int,
     size: int,
     groups: Sequence[int],
-    train: dict[str, Any],
+    record_trace: bool,
 ) -> Any:
     """Draw one chunk of networks, train the listed groups, and reduce them.
 
     Chunk c draws its (size, M, M, N) channel tensor from
     ``chunk/{c}/channels`` and trains group i on its own links h[:, i, i, :]
-    from ``chunk/{c}/train/group/{i}``, passing ``train`` on to
-    ``train_ensemble``. ``reduce(config, h, trained, sub)`` runs in the same
-    process, so only its result crosses back from a worker; ``sub`` is the
-    ``chunk/{c}`` stream, for draws of the reducer's own.
+    from ``chunk/{c}/train/group/{i}`` for one full block, recording every
+    frame iff ``record_trace``. ``reduce(config, h, trained, sub)`` runs in
+    the same process, so only its result crosses back from a worker;
+    ``sub`` is the ``chunk/{c}`` stream, for draws of the reducer's own.
     """
     sub = stream.child(f"chunk/{chunk_index}")
     h = sub.child("channels").generator().standard_normal((size, config.M, config.M, config.N))
     trained = [
-        train_ensemble(h[:, i, i, :], config, sub.child(f"train/group/{i}"), **train)
+        train_ensemble(
+            h[:, i, i, :], config, sub.child(f"train/group/{i}"), record_trace=record_trace
+        )
         for i in groups
     ]
     return reduce(config, h, trained, sub)
@@ -301,7 +289,7 @@ def map_networks(
     stream: RandomStream,
     groups: Sequence[int],
     workers: int = 1,
-    **train: Any,
+    record_trace: bool = False,
 ) -> list:
     """``network_chunk`` over ``config.trials`` networks, one result per chunk.
 
@@ -315,7 +303,7 @@ def map_networks(
     groups = tuple(groups)
     chunk = TRIAL_CHUNK if groups else TRAJ_CHUNK
     tasks = [
-        (reduce, config, stream, c, size, groups, train)
+        (reduce, config, stream, c, size, groups, record_trace)
         for c, size in enumerate(chunk_sizes(config.trials, chunk))
     ]
     return map_chunks(network_chunk, tasks, workers)
@@ -325,11 +313,10 @@ def map_networks(
 class ConvergenceResult:
     """Traces of ``trials`` network training runs over random channels.
 
-    Arrays are indexed (trial, group, recorded frame); ``abs_sum`` holds
+    Arrays are indexed (trial, group, frame); ``abs_sum`` holds
     sum_j |h_j| per (trial, group), the gain ceiling.
     """
 
-    frames: np.ndarray
     gain: np.ndarray
     aligned_count: np.ndarray
     accepted: np.ndarray
@@ -342,7 +329,6 @@ def _traces(
     """One chunk's ``ConvergenceResult`` fields, in field order."""
     m = np.arange(config.M)
     return (
-        trained[0].frames,
         np.stack([res.gain for res in trained], axis=1),
         np.stack([res.aligned_count for res in trained], axis=1),
         np.stack([res.accepted for res in trained], axis=1),
@@ -351,25 +337,11 @@ def _traces(
 
 
 def run_convergence(
-    config: NetworkConfig,
-    stream: RandomStream,
-    n_frames: int | None = None,
-    decimation: int = 1,
-    workers: int = 1,
+    config: NetworkConfig, stream: RandomStream, workers: int = 1
 ) -> ConvergenceResult:
-    """Train ``config.trials`` random networks and collect per-frame traces."""
-    parts = map_networks(
-        _traces,
-        config,
-        stream,
-        range(config.M),
-        workers,
-        n_frames=n_frames,
-        record_trace=True,
-        decimation=decimation,
-    )
-    frames, *per_trial = zip(*parts)
-    return ConvergenceResult(frames[0], *(np.concatenate(a, axis=0) for a in per_trial))
+    """Train ``config.trials`` random networks and trace every frame of each block."""
+    parts = map_networks(_traces, config, stream, range(config.M), workers, record_trace=True)
+    return ConvergenceResult(*(np.concatenate(a, axis=0) for a in zip(*parts)))
 
 
 def _final_gains(

@@ -516,8 +516,12 @@ def test_nonpositive_workers_exit_code(tmp_path, capsys, workers):
         (["--sigma-source", "nope"], ["sigma_source", "'nope'"]),
         (["--workers", "abc"], ["--workers", "'abc'"]),
         (["--seed", "x"], ["--seed", "'x'"]),
+        (["--form", "json"], ["--form"]),
     ],
-    ids=["no-config", "unknown-flag", "format", "mode", "sigma-source", "workers", "seed"],
+    ids=[
+        "no-config", "unknown-flag", "format", "mode", "sigma-source", "workers", "seed",
+        "abbreviated",
+    ],
 )
 def test_bad_flag_exit_code(tmp_path, monkeypatch, capsys, flags, named):
     monkeypatch.chdir(tmp_path)
@@ -718,7 +722,7 @@ def test_convergence_command_matches_library_and_reaches_ceiling(tmp_path):
     assert lines[0] == "trial,group,t,gain,aligned_count,accepted"
     cfg = NetworkConfig(**base_doc(N=100, M=1, trials=50, k_o=20.0)["config"])
     res = run_convergence(cfg, RandomStream(cfg.seed, "convergence"))
-    assert len(lines) - 1 == cfg.trials * cfg.M * res.frames.size
+    assert len(lines) - 1 == cfg.trials * cfg.M * res.gain.shape[2]
     # mean gain at t = 10N clears 90% of the mean attainable amplitude
     gains_10n = np.array(
         [float(l.split(",")[3]) for l in lines[1:] if int(l.split(",")[2]) == 10 * cfg.N]
@@ -1075,20 +1079,20 @@ def test_csv_writer_edge_cells_across_two_block_edges():
 def test_convergence_artifacts_match_row_by_row_reference(tmp_path):
     config = NetworkConfig(**base_doc(M=2, N=12, trials=7, k_o=3.0)["config"])
     res = run_convergence(config, RandomStream(config.seed, "convergence"))
-    assert np.array_equal(res.frames, np.arange(config.block_frames))  # decimation 1
+    assert res.gain.shape[2] == config.block_frames
     columns = ("trial", "group", "t", "gain", "aligned_count", "accepted")
     rows = [
         (
             trial,
             group,
-            int(t),
-            float(res.gain[trial, group, k]),
-            int(res.aligned_count[trial, group, k]),
-            bool(res.accepted[trial, group, k]),
+            t,
+            float(res.gain[trial, group, t]),
+            int(res.aligned_count[trial, group, t]),
+            bool(res.accepted[trial, group, t]),
         )
         for trial in range(config.trials)
         for group in range(config.M)
-        for k, t in enumerate(res.frames)
+        for t in range(config.block_frames)
     ]
     csv_lines = [",".join(columns)] + [
         f"{trial},{group},{t},{format(gain, '.17g')},{count},{int(acc)}"

@@ -243,23 +243,21 @@ _CHANNEL_ENTRY = st.floats(1e-3, 1e3).flatmap(lambda x: st.sampled_from([x, -x])
 
 @st.composite
 def perfect_ensembles(draw, max_n=6, max_k_o=30.0):
-    """A small perfect-mode config, a (B, N) channel batch and a decimation."""
+    """A small perfect-mode config and a (B, N) channel batch."""
     n, b = draw(st.integers(1, max_n)), draw(st.integers(1, 5))
     config = NetworkConfig(
         M=1, N=n, P=draw(st.floats(0.1, 100.0)), N_o=1.0, T_f=20, k_o=draw(st.floats(1.0, max_k_o)),
         epsilon_o=0.1, delta=0.5, seed=draw(st.integers(0, 2**32)), estimation_mode="perfect",
     )
     H = np.array(draw(st.lists(_CHANNEL_ENTRY, min_size=b * n, max_size=b * n))).reshape(b, n)
-    return config, H, draw(st.integers(1, 3))
+    return config, H
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=perfect_ensembles())
 def test_perfect_mode_recorded_gain_never_decreases(case):
-    config, H, decimation = case
-    res = train_ensemble(
-        H, config, RandomStream(config.seed, "mono"), record_trace=True, decimation=decimation
-    )
+    config, H = case
+    res = train_ensemble(H, config, RandomStream(config.seed, "mono"), record_trace=True)
     assert np.all(np.diff(res.gain, axis=1) >= 0)
     assert np.all(res.gain[:, 0] == H.sum(axis=1))
 
@@ -267,10 +265,8 @@ def test_perfect_mode_recorded_gain_never_decreases(case):
 @settings(max_examples=200, deadline=None)
 @given(case=perfect_ensembles())
 def test_reaching_the_ceiling_is_permanent_and_ends_acceptance(case):
-    config, H, decimation = case
-    res = train_ensemble(
-        H, config, RandomStream(config.seed, "ceiling"), record_trace=True, decimation=decimation
-    )
+    config, H = case
+    res = train_ensemble(H, config, RandomStream(config.seed, "ceiling"), record_trace=True)
     for h, gain, aligned, accepted in zip(H, res.gain, res.aligned_count, res.accepted):
         hits = np.flatnonzero(aligned == config.N)
         if hits.size == 0:
@@ -298,12 +294,10 @@ def test_trajectory_is_scale_equivariant(make_config):
 def test_power_of_two_scaling_is_exact(case, k):
     # Scaling H by c = 2^k scales every product and sum exactly, so each
     # acceptance decision is the same and every gain is exactly c times.
-    config, H, decimation = case
+    config, H = case
     c = 2.0**k
     base, scaled = (
-        train_ensemble(
-            G, config, RandomStream(config.seed, "scale"), record_trace=True, decimation=decimation
-        )
+        train_ensemble(G, config, RandomStream(config.seed, "scale"), record_trace=True)
         for G in (H, c * H)
     )
     assert np.array_equal(scaled.weights, base.weights)
@@ -375,19 +369,18 @@ def test_final_weight_signs_are_symmetric(make_config):
 def test_ensemble_trace_matches_recount_at_every_recorded_frame(make_config):
     # Recorded gains and aligned counts are kept incrementally. A run cut
     # after frame t draws the same proposals as the full run up to t, so its
-    # final weights give a recount at every recorded frame.
+    # final weights give a recount of column t, for every frame t.
     for mode in ("perfect", "noisy"):
         cfg = make_config(N=5, k_o=8.0, seed=131, estimation_mode=mode, T_f=10)
         H = RandomStream(cfg.seed, "h").generator().standard_normal((30, cfg.N))
         stream = RandomStream(cfg.seed, "recount")
-        for decimation in (1, 3):
-            res = train_ensemble(H, cfg, stream, record_trace=True, decimation=decimation)
-            for k, t in enumerate(res.frames):
-                cut = train_ensemble(H, cfg, stream, n_frames=t + 1)
-                assert np.array_equal(res.aligned_count[:, k], (H * cut.weights > 0).sum(axis=1))
-                assert np.allclose(res.gain[:, k], cut.final_gain, rtol=1e-12, atol=0)
-            assert res.frames[-1] == cfg.block_frames - 1
-            assert np.allclose(res.gain[:, -1], res.final_gain, rtol=1e-12, atol=0)
+        res = train_ensemble(H, cfg, stream, record_trace=True)
+        assert res.gain.shape == (H.shape[0], cfg.block_frames)
+        for t in range(cfg.block_frames):
+            cut = train_ensemble(H, cfg, stream, n_frames=t + 1)
+            assert np.array_equal(res.aligned_count[:, t], (H * cut.weights > 0).sum(axis=1))
+            assert np.allclose(res.gain[:, t], cut.final_gain, rtol=1e-12, atol=0)
+        assert np.allclose(res.gain[:, -1], res.final_gain, rtol=1e-12, atol=0)
 
 
 def test_run_convergence_reaches_ceiling_quickly(make_config):
