@@ -14,7 +14,7 @@ fields are the columns of the ``bounds`` artifact.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -134,9 +134,6 @@ class BoundReport:
     term3: float
     bound_finite: float
     bound_asymptotic: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def outage_bound(N: int, config: NetworkConfig) -> BoundReport:

@@ -26,21 +26,25 @@ artifacts at any worker count.
 
 A runner computes; it returns the record array its CSV is written from
 (``_table``), its JSON document and its summary lines. ``run`` alone picks
-the writer: ``_json_text`` of the document (``_jsonable`` writes a record
-array as one object per row) or ``_csv_text`` of the rows. ``_csv_text``
-picks one conversion per column from its dtype (``%d`` for bools and
-integers, ``%.17g`` for floats, ``_fmt_cell`` for object columns). Each
-block of rows is built as bytes in numpy, with no Python string per cell or
-per row. A bool or integer column whose values span fewer values than the
-block has rows is read from a lookup table that formats each value from its
-minimum to its maximum once. Any other numeric column formats each distinct
-value once and gathers the cells, so a trace whose gain changes only at
-accepted frames formats few values. Floats are told apart by their bits, so
-``-0.0`` and ``0.0`` keep their own cells. The cells and separators go into
-one fixed-width byte matrix, and one boolean compaction per block drops the
-padding; an object cell keeps exactly its UTF-8 bytes, NUL bytes included.
-The columns of ``bounds`` and ``outage`` are the fields of ``BoundReport``
-and ``OutageResult``, in field order; the JSON of ``outage`` adds ``link``.
+the writer: ``_json_text`` of the document or ``_csv_text`` of the rows.
+``_jsonable`` alone maps values to JSON: a dataclass as its fields, a record
+array as one object per row, a non-finite float as null, where CSV writes
+``nan``/``inf``/``-inf``. ``_csv_text`` picks one conversion per column from
+its dtype (``%d`` for bools and integers, ``%.17g`` for floats,
+``_fmt_cell`` for object columns). Each block of rows is built as bytes in
+numpy, with no Python string per cell or per row. A bool or integer column
+whose values span fewer values than the block has rows is read from a lookup
+table that formats each value from its minimum to its maximum once. Any
+other numeric column formats each distinct value once and gathers the cells,
+so a trace whose gain changes only at accepted frames formats few values.
+Floats are told apart by their bits, so ``-0.0`` and ``0.0`` keep their own
+cells. The cells and separators go into one fixed-width byte matrix, and one
+boolean compaction per block drops the padding; an object cell keeps exactly
+its UTF-8 bytes, NUL bytes included. The columns of a per-N command are the
+fields of its result dataclass, in field order, and named extras: ``slope``
+after ``ProbeRow``, ``N`` and ``M`` before ``ProtocolReport`` and
+``sigma_source`` and ``rate_assumed`` after it. JSON rows add ``link``
+(outage) and ``sigma_per_link``; the probe's JSON is its ``ProbeResult``.
 """
 
 from __future__ import annotations
@@ -62,8 +66,9 @@ from .bounds import BoundReport, epsilon_max, outage_bound
 from .config import NetworkConfig
 from .errors import CapacityError, ConfigError, FeedbeamError
 from .markov import STATE_LIMIT, build_markov, gain_moments_exact, one_step_absorb_probability
-from .outage import WEIGHTS_MODES, OutageResult, estimate_outage, interference_scaling_probe
-from .protocol import compare_protocols, estimate_interference_power
+from .outage import WEIGHTS_MODES, OutageResult, ProbeRow
+from .outage import estimate_outage, interference_scaling_probe
+from .protocol import ProtocolReport, compare_protocols, estimate_interference_power
 from .rng import RandomStream
 from .training import ensemble_gain_stats, run_convergence
 
@@ -198,7 +203,7 @@ def load_config(path: str) -> ExperimentSpec:
 
 def serialize(spec: ExperimentSpec) -> str:
     """JSON text such that loads_config(serialize(spec)) == spec."""
-    doc: dict[str, Any] = {"command": spec.command, "config": spec.config.to_dict()}
+    doc: dict[str, Any] = {"command": spec.command, "config": dataclasses.asdict(spec.config)}
     for key in ("sweep", "output_path", "format"):
         value = getattr(spec, key)
         if value is not None:
@@ -323,6 +328,8 @@ def _jsonable(obj: Any) -> Any:
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         return x if math.isfinite(x) else None
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonable(dataclasses.asdict(obj))
     return obj
 
 
@@ -387,6 +394,10 @@ def _n_values(spec: ExperimentSpec) -> list[int]:
     return list(spec.sweep) if spec.sweep else [spec.config.N]
 
 
+def _fields(record: type) -> list[str]:
+    return [f.name for f in dataclasses.fields(record)]
+
+
 def _per_n(
     spec: ExperimentSpec, columns: Sequence[str], docs: list[dict], summary: list[str]
 ) -> _Result:
@@ -440,7 +451,7 @@ def _cmd_markov_verify(spec: ExperimentSpec, flags: _Flags) -> _Result:
     # degenerates once every trajectory is absorbed.
     errs = np.array([m[1] for m in moments]) / math.sqrt(cfg.trials)
     sim_mean = ensemble_gain_stats(
-        h, t_checks, cfg.trials, cfg, RandomStream(cfg.seed, "markov/sim"), workers=flags.workers
+        h, t_checks, cfg, RandomStream(cfg.seed, "markov/sim"), workers=flags.workers
     )
     worst = float(np.max(np.abs(sim_mean - exact) / np.maximum(errs, 1e-300)))
     summary = [
@@ -472,8 +483,7 @@ def _cmd_bounds(spec: ExperimentSpec, flags: _Flags) -> _Result:
         f"bound_asymptotic={r.bound_asymptotic:.4g}"
         for r in reports
     ]
-    columns = [f.name for f in dataclasses.fields(BoundReport)]
-    return _per_n(spec, columns, [r.to_dict() for r in reports], summary)
+    return _per_n(spec, _fields(BoundReport), [dataclasses.asdict(r) for r in reports], summary)
 
 
 def _cmd_outage(spec: ExperimentSpec, flags: _Flags) -> _Result:
@@ -488,13 +498,15 @@ def _cmd_outage(spec: ExperimentSpec, flags: _Flags) -> _Result:
         for p, rate in zip(points, rates)
     ]
     summary = [
-        f"outage N={r.N} rate={r.rate:.4f} empirical={r.outage_empirical:.6f} "
-        f"(+-{r.stderr:.6f}, 95% CI [{r.ci_low:.6f}, {r.ci_high:.6f}]) "
+        f"outage N={r.N} rate={r.rate:.4f} empirical={r.outage_empirical:.6f} ("
+        + (f"+-{r.stderr:.6f}, " if 0.0 < r.outage_empirical < 1.0 else "")
+        + f"95% CI [{r.ci_low:.6f}, {r.ci_high:.6f}]) "
         f"bound_finite={r.bound_finite:.4g} mode={r.mode}"
         for r in results
     ]
-    columns = [f.name for f in dataclasses.fields(OutageResult)]
-    return _per_n(spec, columns, [r.to_dict() for r in results], summary)
+    # By link symmetry only link 0 is ever evaluated; the JSON rows say so.
+    docs = [{**dataclasses.asdict(r), "link": 0} for r in results]
+    return _per_n(spec, _fields(OutageResult), docs, summary)
 
 
 def _cmd_interference_probe(spec: ExperimentSpec, flags: _Flags) -> _Result:
@@ -509,10 +521,8 @@ def _cmd_interference_probe(spec: ExperimentSpec, flags: _Flags) -> _Result:
         for r in probe.rows
     ]
     summary.append(f"interference-probe slope={probe.slope:.4f} over N={n_values}")
-    columns = ("N", "trials", "mean_sq", "control_sq", "sample_mean", "slope")
-    cells = [(r.N, r.trials, r.mean_sq, r.control_sq, r.sample_mean, probe.slope) for r in probe.rows]
-    doc = {"rows": [dataclasses.asdict(r) for r in probe.rows], "slope": probe.slope}
-    return _table(columns, list(zip(*cells))), doc, summary
+    cells = [(*dataclasses.astuple(r), probe.slope) for r in probe.rows]
+    return _table([*_fields(ProbeRow), "slope"], list(zip(*cells))), probe, summary
 
 
 def _cmd_protocol_compare(spec: ExperimentSpec, flags: _Flags) -> _Result:
@@ -534,7 +544,7 @@ def _cmd_protocol_compare(spec: ExperimentSpec, flags: _Flags) -> _Result:
         report = compare_protocols(sigma, cfg_n, rate_assumed)
         docs.append(
             {
-                **report.to_dict(),
+                **dataclasses.asdict(report),
                 "N": n,
                 "M": cfg_n.M,
                 "sigma_source": flags.sigma_source,
@@ -547,10 +557,7 @@ def _cmd_protocol_compare(spec: ExperimentSpec, flags: _Flags) -> _Result:
             f"lhs={report.condition_lhs:.4f} rhs={report.condition_rhs:.4f} "
             f"modified_better={report.modified_better}"
         )
-    columns = (
-        "N", "M", "sigma_I2", "frame_ratio", "condition_lhs", "condition_rhs",
-        "modified_better", "bits_modified", "bits_original", "sigma_source", "rate_assumed",
-    )
+    columns = ["N", "M", *_fields(ProtocolReport), "sigma_source", "rate_assumed"]
     return _per_n(spec, columns, docs, summary)
 
 

@@ -104,9 +104,6 @@ class NetworkConfig:
     def replace(self, **changes: Any) -> "NetworkConfig":
         return dataclasses.replace(self, **changes)
 
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "NetworkConfig":
         """Build a config from a parsed JSON object, rejecting unknown keys.

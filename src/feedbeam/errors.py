@@ -19,7 +19,7 @@ class DimensionError(FeedbeamError):
 
 
 class CapacityError(FeedbeamError):
-    """Requested exact analysis exceeds the supported state-space size."""
+    """A requested exact chain or Monte Carlo chunk exceeds its supported size."""
 
 
 class DegenerateChannelError(FeedbeamError):

@@ -18,7 +18,7 @@ comes from link amplitudes by one formula, ``_link_sinr``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -48,10 +48,11 @@ WEIGHTS_MODES = ("trained", "idealized")
 class OutageResult:
     """Empirical outage of link 0 at one rate, with the analytic bound: one row of ``outage``.
 
-    ``mode`` is the weights mode, one of ``WEIGHTS_MODES``. ``stderr`` is the
-    plug-in binomial standard error, 0 when no trial or every trial is in
-    outage; ``ci_low``/``ci_high`` bound the outage probability with the
-    exact (Clopper-Pearson) 95 % interval, which stays informative there.
+    ``mode`` is the weights mode, one of ``WEIGHTS_MODES``. A bound that
+    ``outage_bound`` does not admit is NaN. ``stderr`` is the plug-in
+    binomial standard error, 0 when no trial or every trial is in outage;
+    ``ci_low``/``ci_high`` bound the outage probability with the exact
+    (Clopper-Pearson) 95 % interval, which stays informative there.
     """
 
     N: int
@@ -67,13 +68,6 @@ class OutageResult:
     mode: str
     ci_low: float
     ci_high: float
-
-    def to_dict(self) -> dict:
-        """The fields, non-finite floats as None, and the evaluated ``link``."""
-        doc = {k: None if isinstance(v, float) and not math.isfinite(v) else v
-               for k, v in asdict(self).items()}
-        doc["link"] = 0  # by link symmetry only link 0 is ever evaluated
-        return doc
 
 
 def sinr(
@@ -349,12 +343,8 @@ def interference_scaling_probe(
     for n in N_list:
         cfg = config.replace(M=1, N=int(n))
         parts = map_networks(_probe_sums, cfg, stream.child(f"N/{n}"), [0], workers)
-        sq = sum(p[0] for p in parts) / cfg.trials
-        ctrl = sum(p[1] for p in parts) / cfg.trials
-        samp = sum(p[2] for p in parts) / (cfg.trials * cfg.N)
-        rows.append(
-            ProbeRow(N=cfg.N, trials=cfg.trials, mean_sq=sq, control_sq=ctrl, sample_mean=samp)
-        )
+        means = np.sum(parts, axis=0) / [cfg.trials, cfg.trials, cfg.trials * cfg.N]
+        rows.append(ProbeRow(cfg.N, cfg.trials, *means.tolist()))
     slope = float(
         np.polyfit(np.log([r.N for r in rows]), np.log([r.mean_sq for r in rows]), 1)[0]
     ) if len(rows) >= 2 else float("nan")

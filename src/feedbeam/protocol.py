@@ -16,7 +16,7 @@ groups 0 .. M-2 of networks drawn by ``training.network_chunk``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,6 @@ class ProtocolReport:
     modified_better: bool
     bits_modified: float
     bits_original: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def interference_power(

@@ -38,9 +38,9 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .config import NetworkConfig
-from .errors import ConfigError, DimensionError
+from .errors import CapacityError, ConfigError, DimensionError
 from .rng import RandomStream
-from .util import TRAJ_CHUNK, TRIAL_CHUNK, chunk_sizes, map_chunks
+from .util import CHUNK_BYTES_LIMIT, TRAJ_CHUNK, TRIAL_CHUNK, chunk_sizes, map_chunks
 
 __all__ = [
     "TrainingTrace",
@@ -302,6 +302,11 @@ def map_networks(
     """
     groups = tuple(groups)
     chunk = TRIAL_CHUNK if groups else TRAJ_CHUNK
+    nbytes = min(chunk, config.trials) * config.M**2 * config.N * 8  # one chunk's channels
+    if nbytes > CHUNK_BYTES_LIMIT:
+        raise CapacityError(
+            f"a chunk's channels at N={config.N} take {nbytes} bytes, over {CHUNK_BYTES_LIMIT}"
+        )
     tasks = [
         (reduce, config, stream, c, size, groups, record_trace)
         for c, size in enumerate(chunk_sizes(config.trials, chunk))
@@ -370,41 +375,34 @@ def _gain_stats_chunk(
     chunk_index: int,
     size: int,
     t_list: tuple[int, ...],
-) -> tuple[int, np.ndarray]:
+) -> np.ndarray:
     n_frames = max(t_list) + 1
     H = np.broadcast_to(h, (size, h.size))
     res = train_ensemble(
         H, config, stream.child(f"chunk/{chunk_index}"), n_frames=n_frames, record_trace=True
     )
-    return size, res.gain[:, list(t_list)].mean(axis=0)
+    return res.gain[:, list(t_list)].sum(axis=0)
 
 
 def ensemble_gain_stats(
     h: np.ndarray,
     t_list: list[int],
-    n_traj: int,
     config: NetworkConfig,
     stream: RandomStream,
     workers: int = 1,
 ) -> np.ndarray:
     """Monte Carlo mean of the gain at given frames.
 
-    Runs ``n_traj`` training trajectories for one fixed channel vector and
-    returns the mean gain at each frame of ``t_list``. Per-chunk counts and
-    means are merged pairwise. Used to check the simulator against the exact
-    chain, whose own standard deviation gives the tolerance: the sample one
-    collapses once every trajectory is absorbed.
+    Runs ``config.trials`` training trajectories for one fixed channel
+    vector and returns the mean gain at each frame of ``t_list``: each chunk
+    returns its sums, divided once by ``config.trials``. Used to check the
+    simulator against the exact chain, whose own standard deviation gives
+    the tolerance: the sample one collapses once every trajectory is absorbed.
     """
     h = np.asarray(h, dtype=float)
     tl = tuple(int(t) for t in t_list)
     tasks = [
         (h, config, stream, c, size, tl)
-        for c, size in enumerate(chunk_sizes(n_traj, TRAJ_CHUNK))
+        for c, size in enumerate(chunk_sizes(config.trials, TRAJ_CHUNK))
     ]
-    parts = map_chunks(_gain_stats_chunk, tasks, workers)
-    n, mean = parts[0]
-    for n_b, mean_b in parts[1:]:
-        n_ab = n + n_b
-        mean = mean + (mean_b - mean) * (n_b / n_ab)
-        n = n_ab
-    return mean
+    return np.sum(map_chunks(_gain_stats_chunk, tasks, workers), axis=0) / config.trials

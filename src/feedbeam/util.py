@@ -12,12 +12,16 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
-__all__ = ["TRIAL_CHUNK", "TRAJ_CHUNK", "chunk_sizes", "map_chunks"]
+__all__ = ["TRIAL_CHUNK", "TRAJ_CHUNK", "CHUNK_BYTES_LIMIT", "chunk_sizes", "map_chunks"]
 
 # Heavy per-trial work (full training runs) vs light per-trial work
 # (one SINR evaluation, one short trajectory).
 TRIAL_CHUNK = 256
 TRAJ_CHUNK = 16384
+# Bytes of the largest channel tensor one chunk may draw: a larger run is
+# refused before any draw instead of failing in numpy or exhausting memory.
+# The largest chunk of the tests and the benchmark is 26 MB (16384 x 200).
+CHUNK_BYTES_LIMIT = 2**31
 
 T = TypeVar("T")
 

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete (a few minutes single-threaded).
 """
 
+import dataclasses
 import json
 import math
 
@@ -89,10 +90,8 @@ def test_criterion_2_simulator_matches_exact_chain():
             model = build_markov(h)
             gaps = np.min(np.diff(np.sort(model.gains)))
             assert gaps > 1e-6, "oracle channel has near-tied states"
-            cfg = _config(N=n)
-            mean = ensemble_gain_stats(
-                h, t_list, trajectories, cfg, RandomStream(cfg.seed, f"acc2/N{n}/{k}")
-            )
+            cfg = _config(N=n, trials=trajectories)
+            mean = ensemble_gain_stats(h, t_list, cfg, RandomStream(cfg.seed, f"acc2/N{n}/{k}"))
             for idx, t in enumerate(t_list):
                 exact, std = gain_moments_exact(model, t)
                 se = std / math.sqrt(trajectories)
@@ -269,7 +268,7 @@ def test_criterion_8_structural_invariants(tmp_path):
     out_b = estimate_outage(out_cfg, 0.5, "idealized", RandomStream(2, "acc8/o"), workers=4)
     spec_doc = {
         "command": "bounds",
-        "config": _config(M=2, N=200, epsilon_o=0.05).to_dict(),
+        "config": dataclasses.asdict(_config(M=2, N=200, epsilon_o=0.05)),
     }
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec_doc))

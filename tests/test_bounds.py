@@ -335,7 +335,7 @@ def test_outage_bound_is_finite_or_rejected(N, M):
 
 def test_report_schema(make_config):
     report = outage_bound(200, make_config(M=2, epsilon_o=0.05))
-    assert set(report.to_dict()) == {
+    assert set(dataclasses.asdict(report)) == {
         "N", "M", "epsilon_o", "delta", "k1", "k2", "k3", "c_1", "rate",
         "term1", "term2", "term3", "bound_finite", "bound_asymptotic",
     }

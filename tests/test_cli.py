@@ -476,6 +476,29 @@ def test_markov_verify_refuses_huge_n_before_drawing(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, N",
+    [("convergence", 2**62), ("interference-probe", 2**62), ("protocol-compare", 2**62),
+     ("outage", 2**53)],
+    ids=["convergence", "interference-probe", "protocol-compare", "outage"],
+)
+def test_huge_monte_carlo_is_refused_before_any_draw(tmp_path, monkeypatch, capsys, command, N):
+    # N = 2^53 is the largest N that `outage_bound` admits.
+    def no_draw(self):
+        raise AssertionError("a generator was created")
+
+    monkeypatch.setattr(feedbeam.rng.RandomStream, "generator", no_draw)
+    monkeypatch.chdir(tmp_path)
+    doc = base_doc(M=2, N=N, epsilon_o=0.05, trials=4)
+    doc["command"] = command
+    assert main(["--config", write_doc(tmp_path, doc)]) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "invalid-config"
+    assert f"N={N}" in err["message"] and "bytes" in err["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
 def test_unwritable_path_exit_code(tmp_path, capsys):
     doc = base_doc(N=50, M=2, epsilon_o=0.05)
     doc["command"] = "bounds"
@@ -752,6 +775,27 @@ def test_outage_command_schema_and_modes(tmp_path):
     path2 = write_doc(tmp_path, doc2, "spec2.json")
     assert main(["--config", path2, "--out", out2, "--mode", "trained"]) == EXIT_OK
     assert open(out2).read().splitlines()[1].split(",")[10] == "trained"
+    # The JSON row has every column and the evaluated link, which is always link 0.
+    out3 = tmp_path / "outage.json"
+    assert main(["--config", path, "--out", str(out3), "--format", "json"]) == EXIT_OK
+    doc3 = json.loads(out3.read_text())
+    assert sorted(doc3) == sorted([*lines[0].split(","), "link"])
+    assert doc3["link"] == 0
+
+
+def test_outage_summary_shows_stderr_only_between_no_and_every_outage(tmp_path, capsys):
+    # At N = 50 about 1 % of the trials are in outage; at N = 120 none is.
+    doc = base_doc(N=50, M=4, P=0.02, epsilon_o=0.05, trials=2000)
+    doc["command"] = "outage"
+    doc["sweep"] = [50, 120]
+    out = tmp_path / "outage.csv"
+    assert main(["--config", write_doc(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+    some, none = capsys.readouterr().out.splitlines()
+    counts = [line.split(",")[6] for line in out.read_text().splitlines()[1:]]
+    assert float(counts[0]) > 0 and float(counts[1]) == 0
+    assert "(+-" in some and "95% CI [" in some
+    assert "+-" not in none
+    assert "empirical=0.000000 (95% CI [0.000000, " in none
 
 
 def test_outage_sweep_checks_every_point_before_monte_carlo(tmp_path, capsys, monkeypatch):
@@ -815,6 +859,25 @@ def test_protocol_compare_json(tmp_path):
     assert main(["--config", path, "--out", out2, "--sigma-source", "analytic"]) == EXIT_OK
     analytic = json.loads(open(out2).read())
     assert analytic["sigma_I2"] == pytest.approx(10.0 * 4 / 2)  # P * M / 2
+
+
+def test_protocol_compare_csv_columns(tmp_path):
+    doc = base_doc(N=32, M=3, P=10.0)
+    doc["command"] = "protocol-compare"
+    doc["sweep"] = [32, 64]
+    out = tmp_path / "protocol.csv"
+    flags = ["--out", str(out), "--format", "csv", "--sigma-source", "analytic"]
+    assert main(["--config", write_doc(tmp_path, doc), *flags]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[0] == (
+        "N,M,sigma_I2,frame_ratio,condition_lhs,condition_rhs,modified_better,"
+        "bits_modified,bits_original,sigma_source,rate_assumed"
+    )
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [(r["N"], r["M"], r["sigma_source"]) for r in rows] == [
+        ("32", "3", "analytic"), ("64", "3", "analytic")
+    ]
+    assert [r["modified_better"] for r in rows] == ["0", "0"]
 
 
 # Every Monte Carlo command, each with more than one chunk so that two

@@ -252,15 +252,14 @@ def test_simulator_matches_exact_chain(make_config):
     # errors from the exact chain's own standard deviation, as criterion 2.
     h = RandomStream(53, "h").generator().standard_normal(4)
     model = build_markov(h)
-    cfg = make_config(N=4, seed=53)
+    cfg = make_config(N=4, seed=53, trials=20_000)
     t_list = [1, 5, 20]
-    n_traj = 20_000  # more than one chunk of trajectories
-    assert n_traj > TRAJ_CHUNK
-    mean = ensemble_gain_stats(h, t_list, n_traj, cfg, RandomStream(53, "mc"))
+    assert cfg.trials > TRAJ_CHUNK  # more than one chunk of trajectories
+    mean = ensemble_gain_stats(h, t_list, cfg, RandomStream(53, "mc"))
     for k, t in enumerate(t_list):
         exact, std = gain_moments_exact(model, t)
-        assert abs(mean[k] - exact) <= 3.0 * std / math.sqrt(n_traj) + 1e-9
-    # The merged chunk means equal the mean of the pooled trajectories.
+        assert abs(mean[k] - exact) <= 3.0 * std / math.sqrt(cfg.trials) + 1e-9
+    # The mean equals that of the pooled trajectories.
     pooled = np.concatenate(
         [
             train_ensemble(
@@ -270,7 +269,7 @@ def test_simulator_matches_exact_chain(make_config):
                 n_frames=max(t_list) + 1,
                 record_trace=True,
             ).gain[:, t_list]
-            for c, size in enumerate(chunk_sizes(n_traj, TRAJ_CHUNK))
+            for c, size in enumerate(chunk_sizes(cfg.trials, TRAJ_CHUNK))
         ]
     )
     assert np.allclose(mean, pooled.mean(axis=0), rtol=1e-12, atol=0)

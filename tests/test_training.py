@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import feedbeam.training
 from feedbeam import (
+    CapacityError,
     ChannelRealization,
     DimensionError,
     NetworkConfig,
@@ -445,3 +447,18 @@ def test_map_networks_chunk_size_follows_training(make_config):
     assert map_networks(_chunk_trials, cfg, stream, [0]) == [TRIAL_CHUNK, 1]
     assert TRAJ_CHUNK > cfg.trials
     assert map_networks(_chunk_trials, cfg, stream, ()) == [cfg.trials]
+
+
+@pytest.mark.parametrize("groups", [[0], ()], ids=["trained", "untrained"])
+def test_map_networks_refuses_a_chunk_over_the_byte_limit(make_config, monkeypatch, groups):
+    # A chunk of 3 networks at M = 2, N = 5 draws 3 * 2 * 2 * 5 doubles.
+    monkeypatch.setattr(feedbeam.training, "CHUNK_BYTES_LIMIT", 3 * 2 * 2 * 5 * 8)
+    stream = RandomStream(1, "cap")
+    cfg = make_config(M=2, N=5, k_o=1.0, trials=3)
+    assert map_networks(_chunk_trials, cfg, stream, groups) == [3]
+    with pytest.raises(CapacityError, match="N=6 take 576 bytes, over 480"):
+        map_networks(_chunk_trials, cfg.replace(N=6), stream, groups)
+    # The first chunk is the largest, so more trials than one chunk holds are refused too.
+    more = cfg.replace(trials=max(TRIAL_CHUNK, TRAJ_CHUNK) + 1)
+    with pytest.raises(CapacityError):
+        map_networks(_chunk_trials, more, stream, groups)
