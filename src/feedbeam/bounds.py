@@ -1,7 +1,7 @@
 """Closed-form convergence and outage analytics.
 
 Everything here is a deterministic function of the scenario parameters:
-the Gaussian tail function and its inverse, the truncated-half-normal
+the inverse of the Gaussian tail function, the truncated-half-normal
 constant c_o and the training budget k_o that guarantee an epsilon-level
 aligned fraction in expectation, the feasibility ceiling for epsilon, and
 ``outage_bound``. That one function computes the tail thresholds k1/k2/k3,
@@ -17,14 +17,11 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-import numpy as np
-
 from .channel import abs_moment
 from .config import NetworkConfig
 from .errors import DomainError, InfeasibleEpsilonError
 
 __all__ = [
-    "q_function",
     "q_inverse",
     "c_o",
     "k_o",
@@ -33,7 +30,6 @@ __all__ = [
     "outage_bound",
 ]
 
-_SQRT_2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 _LN2 = math.log(2.0)
@@ -47,18 +43,10 @@ _N_LIMIT = 2**53
 
 
 _STANDARD_NORMAL = NormalDist()
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
-def q_function(v):
-    """Standard normal tail probability Q(v) = P(Z > v) from ``math.erfc``; accepts arrays."""
-    if np.ndim(v) == 0:
-        return 0.5 * math.erfc(float(v) / _SQRT_2)
-    return 0.5 * _erfc(np.asarray(v, dtype=float) / _SQRT_2).astype(float)
 
 
 def q_inverse(p: float) -> float:
-    """Inverse of q_function on (0, 1): Q^{-1}(p) = -Phi^{-1}(p), from ``NormalDist.inv_cdf``."""
+    """Inverse of the normal tail Q(v) = P(Z > v) on (0, 1): -Phi^{-1}(p), from ``NormalDist``."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"q_inverse requires p in (0, 1), got {p!r}")
     return -_STANDARD_NORMAL.inv_cdf(p)

@@ -29,22 +29,22 @@ A runner computes; it returns the record array its CSV is written from
 the writer: ``_json_text`` of the document or ``_csv_text`` of the rows.
 ``_jsonable`` alone maps values to JSON: a dataclass as its fields, a record
 array as one object per row, a non-finite float as null, where CSV writes
-``nan``/``inf``/``-inf``. ``_csv_text`` picks one conversion per column from
-its dtype (``%d`` for bools and integers, ``%.17g`` for floats,
-``_fmt_cell`` for object columns). Each block of rows is built as bytes in
-numpy, with no Python string per cell or per row. A bool or integer column
-whose values span fewer values than the block has rows is read from a lookup
-table that formats each value from its minimum to its maximum once. Any
-other numeric column formats each distinct value once and gathers the cells,
-so a trace whose gain changes only at accepted frames formats few values.
-Floats are told apart by their bits, so ``-0.0`` and ``0.0`` keep their own
-cells. The cells and separators go into one fixed-width byte matrix, and one
-boolean compaction per block drops the padding; an object cell keeps exactly
-its UTF-8 bytes, NUL bytes included. The columns of a per-N command are the
-fields of its result dataclass, in field order, and named extras: ``slope``
-after ``ProbeRow``, ``N`` and ``M`` before ``ProtocolReport`` and
-``sigma_source`` and ``rate_assumed`` after it. JSON rows add ``link``
-(outage) and ``sigma_per_link``; the probe's JSON is its ``ProbeResult``.
+``nan``/``inf``/``-inf``. Every column is a typed array, and ``_csv_text``
+picks one conversion per column from its dtype (``%d`` for bools and
+integers, ``%.17g`` for floats, ``%s`` for text). Each block of rows is built
+as bytes in numpy, with no Python string per cell or per row. A bool or
+integer column whose values span fewer values than the block has rows is
+read from a lookup table that formats each value from its minimum to its
+maximum once. Any other column formats each distinct value once and gathers
+the cells, so a trace whose gain changes only at accepted frames formats few
+values. Floats are told apart by their bits, so ``-0.0`` and ``0.0`` keep
+their own cells. The cells and separators go into one fixed-width byte
+matrix, and one compaction per block drops the NUL padding. The columns of
+a per-N command are the fields of its result dataclass, in field order, and
+named extras: ``slope`` after ``ProbeRow``, ``N`` and ``M`` before
+``ProtocolReport`` and ``sigma_source`` and ``rate_assumed`` after it. JSON
+rows add ``link`` (outage) and ``sigma_per_link``; the probe's JSON is its
+``ProbeResult``.
 """
 
 from __future__ import annotations
@@ -215,21 +215,10 @@ def serialize(spec: ExperimentSpec) -> str:
 # serialization helpers
 
 
-def _fmt_cell(x: Any) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
-
-
-# The `%` conversion of each numeric numpy dtype kind that writes a cell as
-# `_fmt_cell` does: "%.17g" % x == format(x, ".17g") for every float, and a
-# bool is written as its 0/1 by "%d". Columns of any other kind go through
-# `_fmt_cell`.
-_CONVERSION = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
+# The `%` conversion of each numpy dtype kind a column may have: "%.17g" % x ==
+# format(x, ".17g") for every float, a bool is written as its 0/1 by "%d",
+# and text as its UTF-8 bytes.
+_CONVERSION = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
 # Rows per block of `_csv_text`. On the 512 000 rows of a benchmark trace,
 # blocks of 16384 to 65536 rows wrote equally fast and 8192 was slower; a
 # larger block formats its integer lookup tables and repeated floats fewer
@@ -238,29 +227,13 @@ _BLOCK_ROWS = 32768
 
 
 def _table(columns: Sequence[str], values: Sequence[Any]) -> np.recarray:
-    """Record array with one column per entry of ``values``.
-
-    An array keeps its dtype; any other sequence of cells is kept as
-    objects, so its cells are written by `_fmt_cell` as they are.
-    """
-    arrays = [
-        v if isinstance(v, np.ndarray) else np.fromiter(v, dtype=object, count=len(v))
-        for v in values
-    ]
-    return np.rec.fromarrays(arrays, names=list(columns))
+    """Record array with one typed column per entry of ``values``: an array
+    keeps its dtype, and a list of cells becomes the array numpy makes of it."""
+    return np.rec.fromarrays([np.asarray(v) for v in values], names=list(columns))
 
 
-def _cells(col: np.ndarray, conversion: str | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """The cells of one block of a column as a byte-string (`S`) array.
-
-    Returns them with their lengths in bytes for an object column, whose
-    cells may hold NUL bytes, and with None for a numeric column, whose
-    cells never do and so end where their NUL padding starts.
-    """
-    if conversion is None:
-        cells = [_fmt_cell(x).encode() for x in col.tolist()]
-        lengths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-        return np.array(cells, dtype=f"S{max(int(lengths.max()), 1)}"), lengths
+def _cells(col: np.ndarray, conversion: str) -> np.ndarray:
+    """The cells of one block of a column as a byte-string (`S`) array."""
     if col.dtype.kind in "biu":
         ints = col.view(np.uint8) if col.dtype.kind == "b" else col
         lo, hi = int(ints.min()), int(ints.max())
@@ -269,46 +242,42 @@ def _cells(col: np.ndarray, conversion: str | None) -> tuple[np.ndarray, np.ndar
             # difference may wrap in the column's dtype, but its unsigned view
             # of the same width is exact.
             table = np.array([(conversion % v).encode() for v in range(lo, hi + 1)])
-            return table.take((ints - ints.dtype.type(lo)).view(f"u{ints.itemsize}")), None
+            return table.take((ints - ints.dtype.type(lo)).view(f"u{ints.itemsize}"))
     # Each distinct value formatted once. Floats are told apart by their bits,
     # so -0.0 and 0.0 keep their own cells.
     keys = col.view(f"u{col.itemsize}") if col.dtype.kind == "f" else col
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     table = np.array([(conversion % x).encode() for x in col[first].tolist()])
-    return table.take(inverse), None
+    return table.take(inverse)
 
 
 def _csv_text(rows: np.recarray) -> str:
     """CSV text of the record array ``rows``, one column per field.
 
-    Each column's conversion is picked once from its dtype. Each block of
-    rows is built as bytes: the `_cells` of every column and the separators
-    go side by side into one fixed-width byte matrix, one row per line, and
-    one boolean compaction drops the padding.
+    Each column's conversion is picked once from its dtype; a column of a
+    kind without one is refused. Each block of rows is built as bytes: the
+    `_cells` of every column and the separators go side by side into one
+    fixed-width byte matrix, one row per line, and one compaction drops the
+    NUL padding. So no cell may hold a NUL byte.
     """
     columns = rows.dtype.names
-    fields = [(rows[name], _CONVERSION.get(rows[name].dtype.kind)) for name in columns]
+    for name in columns:
+        if rows[name].dtype.kind not in _CONVERSION:  # an integer beyond 64 bits makes objects
+            raise CapacityError(f"column {name!r} has no CSV cell type: {rows[name].dtype}")
+    fields = [(rows[name], _CONVERSION[rows[name].dtype.kind]) for name in columns]
     # One growing buffer, not a list of blocks and their join: at most the
     # bytes and the decoded text are held at once.
     text = bytearray((",".join(columns) + "\n").encode())
     for lo in range(0, len(rows), _BLOCK_ROWS):
         cells = [_cells(col[lo : lo + _BLOCK_ROWS], conversion) for col, conversion in fields]
-        n = len(cells[0][0])
-        line = np.empty((n, sum(c.itemsize + 1 for c, _ in cells)), dtype=np.uint8)
-        spans = []
+        n = len(cells[0])
+        line = np.full((n, sum(c.itemsize + 1 for c in cells)), ord(","), dtype=np.uint8)
         start = 0
-        for c, lengths in cells:
-            end = start + c.itemsize
-            line[:, start:end] = c.view(np.uint8).reshape(n, c.itemsize)
-            line[:, end] = ord(",")
-            spans.append((start, end, lengths))
-            start = end + 1
+        for c in cells:  # each cell is followed by its separator
+            line[:, start : start + c.itemsize] = c.view(np.uint8).reshape(n, c.itemsize)
+            start += c.itemsize + 1
         line[:, -1] = ord("\n")
-        keep = line != 0
-        for start, end, lengths in spans:
-            if lengths is not None:
-                keep[:, start:end] = np.arange(end - start) < lengths[:, np.newaxis]
-        text.extend(line[keep])
+        text.extend(line[line != 0])
     return text.decode()
 
 

@@ -302,10 +302,14 @@ def map_networks(
     """
     groups = tuple(groups)
     chunk = TRIAL_CHUNK if groups else TRAJ_CHUNK
-    nbytes = min(chunk, config.trials) * config.M**2 * config.N * 8  # one chunk's channels
+    largest = min(chunk, config.trials)
+    nbytes = largest * config.M**2 * config.N * 8  # one chunk's channels
+    if record_trace:  # and its gain (f8), aligned count (i4) and accepted flag (b1) per frame
+        nbytes += largest * len(groups) * config.block_frames * 13
     if nbytes > CHUNK_BYTES_LIMIT:
         raise CapacityError(
-            f"a chunk's channels at N={config.N} take {nbytes} bytes, over {CHUNK_BYTES_LIMIT}"
+            f"a chunk's {'channels and traces' if record_trace else 'channels'} at N={config.N} "
+            f"take {nbytes} bytes, over {CHUNK_BYTES_LIMIT}"
         )
     tasks = [
         (reduce, config, stream, c, size, groups, record_trace)

@@ -12,7 +12,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
-__all__ = ["TRIAL_CHUNK", "TRAJ_CHUNK", "CHUNK_BYTES_LIMIT", "chunk_sizes", "map_chunks"]
+from .errors import CapacityError
+
+__all__ = [
+    "TRIAL_CHUNK", "TRAJ_CHUNK", "CHUNK_BYTES_LIMIT", "CHUNK_COUNT_LIMIT", "chunk_sizes",
+    "map_chunks",
+]
 
 # Heavy per-trial work (full training runs) vs light per-trial work
 # (one SINR evaluation, one short trajectory).
@@ -22,15 +27,24 @@ TRAJ_CHUNK = 16384
 # refused before any draw instead of failing in numpy or exhausting memory.
 # The largest chunk of the tests and the benchmark is 26 MB (16384 x 200).
 CHUNK_BYTES_LIMIT = 2**31
+# Most chunks one run may take. Every chunk is listed before any runs, so a
+# trial count far beyond any feasible run (2^62) would build a list of 2^48
+# sizes and fail in memory instead of being refused. 2^16 chunks hold 16.7M
+# trained or 1.07e9 light trials; the largest run of the tests and the
+# benchmark takes 7.
+CHUNK_COUNT_LIMIT = 2**16
 
 T = TypeVar("T")
 
 
 def chunk_sizes(n_items: int, chunk: int) -> list[int]:
-    """Sizes of consecutive chunks covering n_items (all but the last equal)."""
+    """Sizes of consecutive chunks covering n_items (all but the last equal);
+    more than CHUNK_COUNT_LIMIT chunks are refused."""
     if n_items < 0 or chunk < 1:
         raise ValueError("n_items must be >= 0 and chunk >= 1")
     full, rest = divmod(n_items, chunk)
+    if full + bool(rest) > CHUNK_COUNT_LIMIT:
+        raise CapacityError(f"{n_items} trials take over {CHUNK_COUNT_LIMIT} chunks of {chunk}")
     return [chunk] * full + ([rest] if rest else [])
 
 

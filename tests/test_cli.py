@@ -19,6 +19,7 @@ import feedbeam
 from feedbeam import ConfigError, RandomStream, epsilon_max, run_convergence
 from feedbeam.cli import (
     _BLOCK_ROWS,
+    _CONVERSION,
     _TABLE,
     COMMANDS,
     EXIT_CONFIG,
@@ -30,7 +31,7 @@ from feedbeam.cli import (
     ExperimentSpec,
     _atomic_write,
     _csv_text,
-    _fmt_cell,
+    _Flags,
     _table,
     load_config,
     loads_config,
@@ -497,6 +498,67 @@ def test_huge_monte_carlo_is_refused_before_any_draw(tmp_path, monkeypatch, caps
     assert err["error"] == "invalid-config"
     assert f"N={N}" in err["message"] and "bytes" in err["message"]
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("outage", []), ("convergence", []), ("markov-verify", ["--channel", "0.5,-1.2,2.0,0.1"])],
+    ids=["outage", "convergence", "markov-verify"],
+)
+def test_huge_trial_count_is_refused_before_any_draw(
+    tmp_path, monkeypatch, capsys, command, extra
+):
+    # 2^62 trials are 2^48 chunks or more, far over the chunk count limit.
+    def no_draw(self):
+        raise AssertionError("a generator was created")
+
+    monkeypatch.setattr(feedbeam.rng.RandomStream, "generator", no_draw)
+    monkeypatch.chdir(tmp_path)
+    doc = base_doc(M=2, N=4 if command == "markov-verify" else 50, epsilon_o=0.05, trials=2**62)
+    doc["command"] = command
+    assert main(["--config", write_doc(tmp_path, doc), *extra]) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "invalid-config"
+    assert err["message"].startswith(f"{2**62} trials take over 65536 chunks of ")
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+def test_convergence_refuses_traces_over_the_chunk_byte_limit(tmp_path, monkeypatch, capsys):
+    # One trial's channels at N = 2^24 are 128 MiB, under the limit; its trace of
+    # k_o N = 10 * 2^24 frames at 13 bytes a frame is 2.03 GiB, over it.
+    def no_draw(self):
+        raise AssertionError("a generator was created")
+
+    monkeypatch.setattr(feedbeam.rng.RandomStream, "generator", no_draw)
+    monkeypatch.chdir(tmp_path)
+    doc = base_doc(M=1, N=2**24, k_o=10.0, trials=1)
+    doc["command"] = "convergence"
+    assert main(["--config", write_doc(tmp_path, doc)]) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "invalid-config"
+    assert err["message"] == (
+        f"a chunk's channels and traces at N={2**24} take {2**27 + 10 * 2**24 * 13} bytes, "
+        f"over {2**31}"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+def test_csv_refuses_a_column_beyond_64_bit_integers(tmp_path, capsys):
+    # The analytic protocol comparison draws nothing, so any N reaches the writer.
+    N = 2**90
+    doc = base_doc(M=3, N=N, epsilon_o=0.05)
+    doc["command"] = "protocol-compare"
+    path = write_doc(tmp_path, doc)
+    csv_out, json_out = tmp_path / "p.csv", tmp_path / "p.json"
+    flags = ["--config", path, "--sigma-source", "analytic"]
+    assert main([*flags, "--format", "csv", "--out", str(csv_out)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "invalid-config", "message": "column 'N' has no CSV cell type: object"}
+    assert not csv_out.exists()
+    assert main([*flags, "--format", "json", "--out", str(json_out)]) == EXIT_OK
+    assert json.loads(json_out.read_text())["N"] == N
 
 
 def test_unwritable_path_exit_code(tmp_path, capsys):
@@ -993,28 +1055,26 @@ def test_csv_floats_round_trip_losslessly(tmp_path):
 # the CSV writer and the artifact file
 
 
+def fmt_cell(x):
+    """One cell formatted on its own: the writer's reference."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
+    return str(x)
+
+
 def per_cell_csv(columns, rows):
-    """The writer's reference: every cell formatted on its own by `_fmt_cell`."""
-    lines = [",".join(columns)] + [",".join(_fmt_cell(c) for c in row) for row in rows]
+    """The writer's reference: every cell formatted on its own by `fmt_cell`."""
+    lines = [",".join(columns)] + [",".join(fmt_cell(c) for c in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, 2.0**53 + 2, 1e17]
-_FLOATS = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
-# Columns given as sequences of cells, mixed types included.
-_CELLS = {
-    "bool": st.one_of(st.booleans(), st.booleans().map(np.bool_)),
-    "int": st.one_of(
-        st.integers(),
-        st.integers(2**63 - 2, 2**65),
-        st.integers(-(2**31), 2**31 - 1).map(np.int32),
-        st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    ),
-    "float": st.one_of(_FLOATS, _FLOATS.map(np.float64)),
-    "float-or-none": st.one_of(_FLOATS, _FLOATS.map(np.float64), st.none()),
-    "str": st.text(),
-}
-_CELLS["mixed"] = st.one_of(*_CELLS.values())
+# A text column as a list of cells, numpy making it a `U` array: any text but
+# NUL, which no cell may hold, non-ASCII and empty cells included.
+_TEXT_CELLS = st.text(st.characters(exclude_characters="\0"))
 # Columns given as arrays, which keep their dtype.
 _DTYPES = ["bool", "int8", "int32", "int64", "uint64", "float32", "float64"]
 # Array columns whose cells repeat: every cell is one of a pool of at most three values.
@@ -1023,8 +1083,8 @@ _POOLED = [f"{dtype} pooled" for dtype in _DTYPES]
 
 def column(kind, n_rows):
     """A strategy for one column of ``n_rows`` cells of the given kind."""
-    if kind in _CELLS:
-        return st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows)
+    if kind == "text":
+        return st.lists(_TEXT_CELLS, min_size=n_rows, max_size=n_rows)
     if kind in _POOLED:
         dtype = np.dtype(kind.split()[0])
         elements = from_dtype(dtype)
@@ -1041,7 +1101,7 @@ def column(kind, n_rows):
 def test_csv_writer_matches_per_cell_formatting(data):
     n_rows = data.draw(st.integers(0, 12))
     kinds = data.draw(
-        st.lists(st.sampled_from(sorted(_CELLS) + _DTYPES + _POOLED), min_size=1, max_size=6)
+        st.lists(st.sampled_from(["text"] + _DTYPES + _POOLED), min_size=1, max_size=6)
     )
     values = [data.draw(column(kind, n_rows)) for kind in kinds]
     columns = [f"c{i}" for i in range(len(kinds))]
@@ -1060,7 +1120,7 @@ def test_csv_writer_blocks_and_array_columns():
         gain,
         gen.random(n) < 0.5,
         np.arange(n, dtype=np.uint8),
-        [None if i % 7 == 0 else float(g) for i, g in enumerate(gain)],
+        [math.nan if i % 7 == 0 else float(g) for i, g in enumerate(gain)],
         ["idealized"] * n,
     ]
     columns = ["trial", "gain", "accepted", "code", "bound_finite", "mode"]
@@ -1068,7 +1128,7 @@ def test_csv_writer_blocks_and_array_columns():
     text = _csv_text(rows)
     assert text == per_cell_csv(columns, list(zip(*values)))
     assert text.count("\n") == n + 1
-    assert ",None," in text and ",-0," in text
+    assert ",nan,idealized\n" in text and ",-0," in text
 
 
 def test_csv_writer_repeated_values_across_blocks():
@@ -1103,11 +1163,13 @@ def test_csv_writer_edge_cells_across_two_block_edges():
     n = 2 * _BLOCK_ROWS + 7
     gen = np.random.default_rng(17)
     edges = [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS, n - 1]
-    # Object cells whose bytes a NUL padding mask would cut: NULs, non-ASCII, empty.
-    pool = ["\0", "a\0", "é", "", None, "idealized"]
+    # Text cells of unequal byte lengths: non-ASCII, empty and ASCII; the last
+    # block is all empty cells, so its cells are NUL padding only.
+    pool = ["é", "", "idealized", "a", "ß b"]
     text_cells = [pool[i] for i in gen.integers(0, len(pool), n)]
-    for i, cell in zip(edges, ["\0", "a\0", "é", "", None, "\0"]):
+    for i, cell in zip(edges[:4], ["é", "idealized", "", "a"]):
         text_cells[i] = cell
+    text_cells[2 * _BLOCK_ROWS :] = [""] * (n - 2 * _BLOCK_ROWS)
     # int64 at both ends of its range: no lookup table fits that span.
     wide = gen.integers(-(2**63), 2**63 - 1, n, dtype=np.int64, endpoint=True)
     wide[[0, _BLOCK_ROWS - 1, _BLOCK_ROWS, n - 1]] = [-(2**63), 2**63 - 1, 2**63 - 1, -(2**63)]
@@ -1130,13 +1192,39 @@ def test_csv_writer_edge_cells_across_two_block_edges():
     text = _csv_text(_table(columns, values))
     assert text == per_cell_csv(columns, list(zip(*values)))
     lines = text.split("\n")
-    assert lines[1] == f"\0,{-(2**63)},{int(big[0])},-128,{int(flags[0])},-0,-0"
-    assert lines[_BLOCK_ROWS].startswith("a\0,9223372036854775807,")
-    assert lines[_BLOCK_ROWS + 1].startswith("é,9223372036854775807,")
+    assert lines[1] == f"é,{-(2**63)},{int(big[0])},-128,{int(flags[0])},-0,-0"
+    assert lines[_BLOCK_ROWS].startswith("idealized,9223372036854775807,")
+    assert lines[_BLOCK_ROWS + 1].startswith(",9223372036854775807,")  # the empty cell
     assert lines[_BLOCK_ROWS + 1].endswith(",-100,1,inf,0")
-    assert lines[2 * _BLOCK_ROWS].startswith(",")  # the empty cell
-    assert lines[2 * _BLOCK_ROWS + 1].startswith("None,")
-    assert lines[n].startswith("\0,-9223372036854775808,18446744073709551")
+    assert lines[2 * _BLOCK_ROWS].startswith("a,")
+    assert lines[2 * _BLOCK_ROWS + 1].startswith(",")
+    assert lines[n].startswith(",-9223372036854775808,18446744073709551")
+
+
+_RUNNER_CASES = {
+    "convergence": ("convergence", {}),
+    "markov-verify": ("markov-verify", {}),
+    "bounds": ("bounds", {}),
+    **{f"outage-{mode}": ("outage", {"mode": mode}) for mode in WEIGHTS_MODES},
+    "interference-probe": ("interference-probe", {}),
+    **{f"protocol-{src}": ("protocol-compare", {"sigma_source": src}) for src in SIGMA_SOURCES},
+}
+
+
+@pytest.mark.parametrize("command, flags", _RUNNER_CASES.values(), ids=_RUNNER_CASES.keys())
+def test_every_runner_writes_only_typed_columns(command, flags):
+    # A per-N command sweeps two N, so its columns are built from lists of cells.
+    doc = {"command": command, **base_doc(M=3, N=50, epsilon_o=0.05, k_o=2.0, trials=8)}
+    if command == "markov-verify":
+        doc["config"]["N"] = 5
+    elif _TABLE[command].sweepable:
+        doc["sweep"] = [50, 60]
+    defaults = dict(workers=1, mode="idealized", sigma_source="monte-carlo", channel=None)
+    rows, _, _ = _TABLE[command].runner(
+        loads_config(json.dumps(doc)), _Flags(**{**defaults, **flags})
+    )
+    kinds = {name: rows[name].dtype.kind for name in rows.dtype.names}
+    assert set(kinds.values()) <= set(_CONVERSION), kinds
 
 
 def test_convergence_artifacts_match_row_by_row_reference(tmp_path):

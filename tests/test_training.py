@@ -462,3 +462,16 @@ def test_map_networks_refuses_a_chunk_over_the_byte_limit(make_config, monkeypat
     more = cfg.replace(trials=max(TRIAL_CHUNK, TRAJ_CHUNK) + 1)
     with pytest.raises(CapacityError):
         map_networks(_chunk_trials, more, stream, groups)
+
+
+def test_map_networks_counts_trace_bytes_against_the_limit(make_config, monkeypatch):
+    # Recording traces adds 13 bytes per trained group, trial and frame: here
+    # 3 trials x 2 groups x 5 frames on top of the channels' 480 bytes.
+    cfg = make_config(M=2, N=5, k_o=1.0, trials=3)
+    stream = RandomStream(1, "cap")
+    monkeypatch.setattr(feedbeam.training, "CHUNK_BYTES_LIMIT", 480 + 3 * 2 * 5 * 13)
+    assert map_networks(_chunk_trials, cfg, stream, [0, 1], record_trace=True) == [3]
+    monkeypatch.setattr(feedbeam.training, "CHUNK_BYTES_LIMIT", 480 + 3 * 2 * 5 * 13 - 1)
+    with pytest.raises(CapacityError, match="channels and traces at N=5 take 870 bytes"):
+        map_networks(_chunk_trials, cfg, stream, [0, 1], record_trace=True)
+    assert map_networks(_chunk_trials, cfg, stream, [0, 1]) == [3]

@@ -2,8 +2,8 @@ import operator
 
 import pytest
 
-from feedbeam import util
-from feedbeam.util import map_chunks
+from feedbeam import CapacityError, util
+from feedbeam.util import CHUNK_COUNT_LIMIT, chunk_sizes, map_chunks
 
 
 class _RecordingPool:
@@ -42,3 +42,10 @@ def test_map_chunks_caps_pool_size(monkeypatch, cpus, workers, n_tasks, pool):
     tasks = [(i, 10 * i) for i in range(n_tasks)]
     assert map_chunks(operator.add, tasks, workers) == [11 * i for i in range(n_tasks)]
     assert _RecordingPool.sizes == ([] if pool is None else [pool])
+
+
+def test_chunk_sizes_refuses_more_chunks_than_the_limit():
+    assert chunk_sizes(7, 3) == [3, 3, 1]
+    assert chunk_sizes(3 * CHUNK_COUNT_LIMIT, 3) == [3] * CHUNK_COUNT_LIMIT
+    with pytest.raises(CapacityError, match=f"take over {CHUNK_COUNT_LIMIT} chunks of 3"):
+        chunk_sizes(3 * CHUNK_COUNT_LIMIT + 1, 3)
