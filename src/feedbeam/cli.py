@@ -70,7 +70,8 @@ from .outage import WEIGHTS_MODES, OutageResult, ProbeRow
 from .outage import estimate_outage, interference_scaling_probe
 from .protocol import ProtocolReport, compare_protocols, estimate_interference_power
 from .rng import RandomStream
-from .training import ensemble_gain_stats, run_convergence
+from .training import check_chunk_bytes, ensemble_gain_stats, run_convergence
+from .util import CHUNK_BYTES_LIMIT
 
 __all__ = [
     "COMMANDS", "FORMATS", "SIGMA_SOURCES", "ExperimentSpec",
@@ -458,8 +459,11 @@ def _cmd_bounds(spec: ExperimentSpec, flags: _Flags) -> _Result:
 def _cmd_outage(spec: ExperimentSpec, flags: _Flags) -> _Result:
     cfg = spec.config
     points = [cfg.replace(N=n) for n in _n_values(spec)]
-    # Every point's bound, and so its feasibility, is settled before any Monte Carlo runs.
+    # Every point's bound, and so its feasibility, and its chunk size are settled
+    # before any Monte Carlo runs, for the one-group networks that estimate_outage draws.
     rates = [outage_bound(p.N, p).rate for p in points]
+    for p in points:
+        check_chunk_bytes(p.replace(M=1), () if flags.mode == "idealized" else (0,))
     results = [
         estimate_outage(
             p, rate, flags.mode, RandomStream(cfg.seed, f"outage/N/{p.N}"), workers=flags.workers
@@ -498,16 +502,26 @@ def _cmd_protocol_compare(spec: ExperimentSpec, flags: _Flags) -> _Result:
     cfg = spec.config
     if cfg.M < 2:
         raise ConfigError("protocol-compare requires M >= 2")
+    monte_carlo = flags.sigma_source == "monte-carlo"
+    if monte_carlo:
+        # Every point's chunk size is settled before any Monte Carlo runs, for
+        # the groups 0 .. M-2 that estimate_interference_power trains.
+        for n in _n_values(spec):
+            check_chunk_bytes(cfg.replace(N=n), range(cfg.M - 1))
+    elif cfg.M * 8 > CHUNK_BYTES_LIMIT:  # the analytic sigma_per_link holds one double per link
+        raise CapacityError(
+            f"sigma_per_link at M={cfg.M} takes {cfg.M * 8} bytes, over {CHUNK_BYTES_LIMIT}"
+        )
     rate_assumed = 1.0  # the ordering of the two protocols does not depend on R
     docs, summary = [], []
     for n in _n_values(spec):
         cfg_n = cfg.replace(N=n)
-        if flags.sigma_source == "monte-carlo":
+        if monte_carlo:
             per_link = estimate_interference_power(
                 cfg_n, RandomStream(cfg.seed, f"protocol/N/{n}"), workers=flags.workers
             )
         else:
-            per_link = np.array([i * cfg_n.P for i in range(cfg_n.M)])
+            per_link = np.arange(cfg_n.M, dtype=float) * cfg_n.P  # i * P for link i
         # Average over the links that see interference (i >= 1).
         sigma = float(per_link[1:].mean())
         report = compare_protocols(sigma, cfg_n, rate_assumed)

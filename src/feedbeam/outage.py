@@ -28,7 +28,7 @@ from .channel import ChannelRealization, link_amplitudes
 from .config import NetworkConfig
 from .errors import ConfigError, DimensionError, DomainError, InfeasibleEpsilonError
 from .rng import RandomStream
-from .training import EnsembleResult, map_networks
+from .training import EnsembleResult, check_chunk_bytes, map_networks
 
 __all__ = [
     "WEIGHTS_MODES",
@@ -107,11 +107,15 @@ def _outage_count(
     trained: list[EnsembleResult],
     sub: RandomStream,
 ) -> int:
-    """Trials of one chunk of one-group networks whose link 0, among M groups, is in outage."""
+    """Trials of one chunk of one-group networks whose link 0, among M groups, is in outage.
+
+    In idealized mode the chunk trains nothing, so ``h`` comes as row blocks
+    (see ``training.network_chunk``), each reduced to its own-link amplitudes in place.
+    """
     if mode == "idealized":
-        a = np.abs(h[:, 0, 0, :])
+        k = config.reverse_count
         # A uniform k-subset of the iid |h_j|, chosen apart from h, has the law of the first k.
-        s = a.sum(axis=1) - 2.0 * a[:, : config.reverse_count].sum(axis=1)
+        s = np.concatenate([_idealized_amplitude(block[:, 0, 0, :], k) for block in h])
     else:
         s = link_amplitudes(h, trained[0].weights[:, np.newaxis])[:, 0, 0]
     # Group r's weights depend only on h[r, r, :] and its own training, both
@@ -121,6 +125,15 @@ def _outage_count(
     c = np.concatenate((s[:, np.newaxis], cross), axis=1)
     threshold = 2.0 ** (2.0 * rate) - 1.0
     return int(np.count_nonzero(_link_sinr(c, 0, config) < threshold))
+
+
+def _idealized_amplitude(h: np.ndarray, k: int) -> np.ndarray:
+    """sum_j |h_j| - 2 sum_{j < k} |h_j| per row: sign(h) weights with k sources reversed.
+
+    Takes |h| in place, overwriting ``h``.
+    """
+    a = np.abs(h, out=h)
+    return a.sum(axis=1) - 2.0 * a[:, :k].sum(axis=1)
 
 
 def clopper_pearson(k: int, n: int) -> tuple[float, float]:
@@ -339,10 +352,12 @@ def interference_scaling_probe(
         raise ConfigError("N_list must be nonempty")
     if len(set(N_list)) < len(N_list):
         raise ConfigError(f"N_list entries must be distinct, got {list(N_list)!r}")
+    points = [config.replace(M=1, N=int(n)) for n in N_list]
+    for cfg in points:  # every chunk size is settled before any draw
+        check_chunk_bytes(cfg, [0])
     rows = []
-    for n in N_list:
-        cfg = config.replace(M=1, N=int(n))
-        parts = map_networks(_probe_sums, cfg, stream.child(f"N/{n}"), [0], workers)
+    for cfg in points:
+        parts = map_networks(_probe_sums, cfg, stream.child(f"N/{cfg.N}"), [0], workers)
         means = np.sum(parts, axis=0) / [cfg.trials, cfg.trials, cfg.trials * cfg.N]
         rows.append(ProbeRow(cfg.N, cfg.trials, *means.tolist()))
     slope = float(

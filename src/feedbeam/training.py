@@ -25,14 +25,16 @@ flipped sources of h_j * alpha_j, and only accepted cells are touched. The
 exact Markov chain in ``markov`` is the independent check of this law.
 
 Monte Carlo runs over random networks share one chunk primitive,
-``network_chunk``, with a reducer per command. ``ensemble_gain_stats``
+``network_chunk``, with a reducer per command; a chunk that trains no group
+draws its channels in row blocks of one small buffer. ``ensemble_gain_stats``
 draws no networks and keeps its own chunk.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,8 +60,14 @@ __all__ = [
 # stay near 64 kB each unless B alone is larger.
 FLIP_BLOCK = 8192
 
+# Bytes of the one buffer that a chunk training no group draws its channels
+# into, a block of rows at a time (at least one row per block).
+SLICE_BYTES = 1 << 20
+
 # reduce(config, h, trained, chunk stream) -> one chunk's result; see network_chunk.
-Reducer = Callable[[NetworkConfig, np.ndarray, list["EnsembleResult"], RandomStream], Any]
+Reducer = Callable[
+    [NetworkConfig, "np.ndarray | Iterator[np.ndarray]", list["EnsembleResult"], RandomStream], Any
+]
 
 
 @dataclass
@@ -254,6 +262,24 @@ def train_ensemble(
     )
 
 
+def _row_blocks(
+    gen: np.random.Generator, size: int, shape: tuple[int, ...]
+) -> Iterator[np.ndarray]:
+    """``gen.standard_normal((size, *shape))`` as consecutive blocks of rows.
+
+    Every block is drawn into the same buffer of at most SLICE_BYTES (one
+    row if a row alone is larger), so a block is valid until the next one is
+    drawn. Philox draws in sequence equal one draw of their total, so the
+    blocks hold exactly the rows of the whole-tensor draw.
+    """
+    rows = max(1, SLICE_BYTES // (8 * math.prod(shape)))
+    buf = np.empty((min(rows, size), *shape))
+    for lo in range(0, size, rows):
+        block = buf[: min(rows, size - lo)]
+        gen.standard_normal(out=block)
+        yield block
+
+
 def network_chunk(
     reduce: Reducer,
     config: NetworkConfig,
@@ -271,9 +297,17 @@ def network_chunk(
     frame iff ``record_trace``. ``reduce(config, h, trained, sub)`` runs in
     the same process, so only its result crosses back from a worker;
     ``sub`` is the ``chunk/{c}`` stream, for draws of the reducer's own.
+
+    A chunk that trains no group never holds its whole tensor: ``h`` is then
+    an iterator over its consecutive row blocks (see ``_row_blocks``), which
+    the reducer may overwrite, and ``trained`` is empty.
     """
     sub = stream.child(f"chunk/{chunk_index}")
-    h = sub.child("channels").generator().standard_normal((size, config.M, config.M, config.N))
+    gen = sub.child("channels").generator()
+    shape = (config.M, config.M, config.N)
+    if not groups:
+        return reduce(config, _row_blocks(gen, size, shape), [], sub)
+    h = gen.standard_normal((size, *shape))
     trained = [
         train_ensemble(
             h[:, i, i, :], config, sub.child(f"train/group/{i}"), record_trace=record_trace
@@ -281,6 +315,27 @@ def network_chunk(
         for i in groups
     ]
     return reduce(config, h, trained, sub)
+
+
+def check_chunk_bytes(
+    config: NetworkConfig, groups: Sequence[int], record_trace: bool = False
+) -> None:
+    """Refuse a run of ``map_networks`` whose largest chunk passes CHUNK_BYTES_LIMIT.
+
+    A chunk counts its whole channel tensor, drawn at once or in row blocks,
+    and, with ``record_trace``, its trained groups' traces. Draws nothing, so
+    a caller can settle every point of a sweep before any Monte Carlo runs.
+    """
+    chunk = TRIAL_CHUNK if groups else TRAJ_CHUNK
+    largest = min(chunk, config.trials)
+    nbytes = largest * config.M**2 * config.N * 8  # one chunk's channels
+    if record_trace:  # and its gain (f8), aligned count (i4) and accepted flag (b1) per frame
+        nbytes += largest * len(groups) * config.block_frames * 13
+    if nbytes > CHUNK_BYTES_LIMIT:
+        raise CapacityError(
+            f"a chunk's {'channels and traces' if record_trace else 'channels'} at N={config.N} "
+            f"take {nbytes} bytes, over {CHUNK_BYTES_LIMIT}"
+        )
 
 
 def map_networks(
@@ -294,23 +349,16 @@ def map_networks(
     """``network_chunk`` over ``config.trials`` networks, one result per chunk.
 
     A trial that trains a group runs a training block, so those runs take
-    TRIAL_CHUNK trials per chunk; one that trains none is a cheap
-    evaluation, so those take TRAJ_CHUNK.
+    TRIAL_CHUNK trials per chunk and draw each chunk's channels at once; one
+    that trains none is a cheap evaluation, so those take TRAJ_CHUNK and
+    draw them in row blocks. ``check_chunk_bytes`` refuses a run first.
 
     ``reduce`` must be picklable (a module-level function or a partial of
     one) so that chunks can run on a process pool.
     """
     groups = tuple(groups)
+    check_chunk_bytes(config, groups, record_trace)
     chunk = TRIAL_CHUNK if groups else TRAJ_CHUNK
-    largest = min(chunk, config.trials)
-    nbytes = largest * config.M**2 * config.N * 8  # one chunk's channels
-    if record_trace:  # and its gain (f8), aligned count (i4) and accepted flag (b1) per frame
-        nbytes += largest * len(groups) * config.block_frames * 13
-    if nbytes > CHUNK_BYTES_LIMIT:
-        raise CapacityError(
-            f"a chunk's {'channels and traces' if record_trace else 'channels'} at N={config.N} "
-            f"take {nbytes} bytes, over {CHUNK_BYTES_LIMIT}"
-        )
     tasks = [
         (reduce, config, stream, c, size, groups, record_trace)
         for c, size in enumerate(chunk_sizes(config.trials, chunk))

@@ -23,9 +23,11 @@ __all__ = [
 # (one SINR evaluation, one short trajectory).
 TRIAL_CHUNK = 256
 TRAJ_CHUNK = 16384
-# Bytes of the largest channel tensor one chunk may draw: a larger run is
-# refused before any draw instead of failing in numpy or exhausting memory.
-# The largest chunk of the tests and the benchmark is 26 MB (16384 x 200).
+# Bytes of the largest channel tensor one chunk may draw, at once or in row
+# blocks: a larger run is refused before any draw instead of failing in numpy
+# or exhausting memory. The largest tensor of the tests and the benchmark,
+# 16384 x 200 doubles (26 MB), belongs to an idealized outage chunk, which
+# trains nothing and so draws it in row blocks of at most 1 MiB.
 CHUNK_BYTES_LIMIT = 2**31
 # Most chunks one run may take. Every chunk is listed before any runs, so a
 # trial count far beyond any feasible run (2^62) would build a list of 2^48

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +523,63 @@ def test_huge_trial_count_is_refused_before_any_draw(
     assert err["error"] == "invalid-config"
     assert err["message"].startswith(f"{2**62} trials take over 65536 chunks of ")
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+@pytest.mark.parametrize(
+    "command, N, chunk_bytes",
+    [
+        ("outage", 2**53, 2000 * 2**53 * 8),
+        ("interference-probe", 2**62, TRIAL_CHUNK * 2**62 * 8),
+        ("protocol-compare", 2**62, TRIAL_CHUNK * 4 * 2**62 * 8),
+    ],
+    ids=["outage", "interference-probe", "protocol-compare"],
+)
+def test_huge_sweep_point_is_refused_before_any_draw(
+    tmp_path, monkeypatch, capsys, command, N, chunk_bytes
+):
+    # Every point's chunk size is settled before the Monte Carlo of the first point.
+    calls = []
+    generator = feedbeam.rng.RandomStream.generator
+
+    def spy(self):
+        calls.append(self.label)
+        return generator(self)
+
+    monkeypatch.setattr(feedbeam.rng.RandomStream, "generator", spy)
+    monkeypatch.chdir(tmp_path)
+    doc = base_doc(M=2, N=50, epsilon_o=0.05, trials=2000)
+    doc["command"] = command
+    doc["sweep"] = [50, N]
+    assert main(["--config", write_doc(tmp_path, doc)]) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "invalid-config",
+        "message": f"a chunk's channels at N={N} take {chunk_bytes} bytes, over {2**31}",
+    }
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+def test_analytic_protocol_compare_refuses_huge_m_before_any_allocation(tmp_path, capsys):
+    # sigma_per_link holds one double per link: 2^40 links are 8 TiB.
+    M = 2**40
+    doc = base_doc(M=M, N=50, epsilon_o=0.05)
+    doc["command"] = "protocol-compare"
+    out = tmp_path / "p.json"
+    tracemalloc.start()
+    try:
+        code = main(["--config", write_doc(tmp_path, doc), "--sigma-source", "analytic",
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "invalid-config",
+        "message": f"sigma_per_link at M={M} takes {8 * M} bytes, over {2**31}",
+    }
+    assert peak < 2**20
+    assert not out.exists()
 
 
 def test_convergence_refuses_traces_over_the_chunk_byte_limit(tmp_path, monkeypatch, capsys):

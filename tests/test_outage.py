@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from feedbeam import (
 from feedbeam.bounds import q_inverse
 from feedbeam.channel import link_amplitudes
 from feedbeam.cli import _json_text
-from feedbeam.outage import clopper_pearson
+from feedbeam.outage import _idealized_amplitude, _link_sinr, clopper_pearson
+from feedbeam.util import TRAJ_CHUNK
 
 
 def test_sinr_without_interference(make_config):
@@ -326,3 +328,70 @@ def test_interference_probe_rejects_repeated_n(make_config):
     cfg = make_config(M=1, N=30, trials=20)
     with pytest.raises(ConfigError, match="distinct"):
         interference_scaling_probe(cfg, [30, 30], RandomStream(cfg.seed, "probe"))
+
+
+def _whole_chunk_idealized(cfg, rate, stream, c, size):
+    """Chunk c of an idealized estimate with its channels redrawn as one
+    (size, 1, 1, N) tensor: the own-link amplitudes s and the outage count.
+    """
+    sub = stream.child(f"chunk/{c}")
+    h = sub.child("channels").generator().standard_normal((size, 1, 1, cfg.N))
+    a = np.abs(h[:, 0, 0, :])
+    s = a.sum(axis=1) - 2.0 * a[:, : cfg.reverse_count].sum(axis=1)
+    cross = math.sqrt(cfg.N) * sub.child("cross").generator().standard_normal((size, cfg.M - 1))
+    sinr_0 = _link_sinr(np.concatenate((s[:, np.newaxis], cross), axis=1), 0, cfg)
+    return s, int(np.count_nonzero(sinr_0 < 2.0 ** (2.0 * rate) - 1.0))
+
+
+@pytest.mark.parametrize(
+    "N, rate, trials, slice_bytes, blocks",
+    [
+        # 655 rows of 1600 bytes fill the buffer; 1000 trials are not a multiple.
+        (200, 0.75, 1000, None, [[655, 345]]),
+        # A row of 160 bytes is larger than the buffer, so every block is one row.
+        (20, 0.12, 5, 159, [[1] * 5]),
+        # 6553 rows of 160 bytes per block, over two chunks.
+        (20, 0.12, TRAJ_CHUNK + 3, None, [[6553, 6553, 3278], [3]]),
+    ],
+    ids=["ragged", "row-over-slice", "two-chunks"],
+)
+def test_idealized_row_blocks_match_the_whole_chunk_draw(
+    make_config, monkeypatch, N, rate, trials, slice_bytes, blocks
+):
+    # A chunk that trains nothing draws its channels in row blocks of one
+    # buffer; Philox draws in sequence equal one draw, so the own-link
+    # amplitudes and the outage count are those of the whole-tensor draw.
+    if slice_bytes is not None:
+        monkeypatch.setattr("feedbeam.training.SLICE_BYTES", slice_bytes)
+    seen = []
+
+    def spy(h, k):
+        seen.append(_idealized_amplitude(h, k))
+        return seen[-1]
+
+    monkeypatch.setattr("feedbeam.outage._idealized_amplitude", spy)
+    cfg = make_config(M=2, N=N, P=0.02, epsilon_o=0.05, trials=trials, seed=7)
+    stream = RandomStream(cfg.seed, "rows")
+    res = estimate_outage(cfg, rate, "idealized", stream)
+    assert [len(a) for a in seen] == [n for chunk in blocks for n in chunk]
+    count, lo = 0, 0
+    for c, chunk in enumerate(blocks):
+        s, chunk_count = _whole_chunk_idealized(cfg, rate, stream, c, sum(chunk))
+        assert np.array_equal(np.concatenate(seen[lo : lo + len(chunk)]), s)
+        lo += len(chunk)
+        count += chunk_count
+    assert 0 < count < trials
+    assert res.outage_empirical == count / trials
+
+
+def test_idealized_outage_memory_does_not_scale_with_the_chunk(make_config):
+    # A 16384-trial chunk at N = 200 is 26 MB of channels; drawn in row blocks
+    # of at most 1 MiB, the estimate holds about 2 MB at its peak.
+    cfg = make_config(M=2, N=200, P=0.02, epsilon_o=0.05, trials=TRAJ_CHUNK, seed=1)
+    tracemalloc.start()
+    try:
+        estimate_outage(cfg, 0.7, "idealized", RandomStream(cfg.seed, "memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
