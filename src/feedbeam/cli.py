@@ -67,7 +67,7 @@ from .config import NetworkConfig
 from .errors import CapacityError, ConfigError, FeedbeamError
 from .markov import STATE_LIMIT, build_markov, gain_moments_exact, one_step_absorb_probability
 from .outage import WEIGHTS_MODES, OutageResult, ProbeRow
-from .outage import estimate_outage, interference_scaling_probe
+from .outage import check_outage_bytes, estimate_outage, interference_scaling_probe
 from .protocol import ProtocolReport, compare_protocols, estimate_interference_power
 from .rng import RandomStream
 from .training import check_chunk_bytes, ensemble_gain_stats, run_convergence
@@ -460,10 +460,10 @@ def _cmd_outage(spec: ExperimentSpec, flags: _Flags) -> _Result:
     cfg = spec.config
     points = [cfg.replace(N=n) for n in _n_values(spec)]
     # Every point's bound, and so its feasibility, and its chunk size are settled
-    # before any Monte Carlo runs, for the one-group networks that estimate_outage draws.
+    # before any Monte Carlo runs, for the networks and cross draws of estimate_outage.
     rates = [outage_bound(p.N, p).rate for p in points]
     for p in points:
-        check_chunk_bytes(p.replace(M=1), () if flags.mode == "idealized" else (0,))
+        check_outage_bytes(p, flags.mode)
     results = [
         estimate_outage(
             p, rate, flags.mode, RandomStream(cfg.seed, f"outage/N/{p.N}"), workers=flags.workers

@@ -26,9 +26,10 @@ import numpy as np
 from .bounds import outage_bound, q_inverse
 from .channel import ChannelRealization, link_amplitudes
 from .config import NetworkConfig
-from .errors import ConfigError, DimensionError, DomainError, InfeasibleEpsilonError
+from .errors import CapacityError, ConfigError, DimensionError, DomainError, InfeasibleEpsilonError
 from .rng import RandomStream
 from .training import EnsembleResult, check_chunk_bytes, map_networks
+from .util import CHUNK_BYTES_LIMIT, TRAJ_CHUNK, TRIAL_CHUNK
 
 __all__ = [
     "WEIGHTS_MODES",
@@ -125,6 +126,24 @@ def _outage_count(
     c = np.concatenate((s[:, np.newaxis], cross), axis=1)
     threshold = 2.0 ** (2.0 * rate) - 1.0
     return int(np.count_nonzero(_link_sinr(c, 0, config) < threshold))
+
+
+def check_outage_bytes(config: NetworkConfig, mode: str) -> None:
+    """Refuse an ``estimate_outage`` run whose largest chunk passes CHUNK_BYTES_LIMIT.
+
+    Besides its one-group networks (see ``check_chunk_bytes``), a chunk
+    draws (trials in the chunk, M - 1) interfering amplitudes under
+    ``cross``; both count. Draws nothing.
+    """
+    groups = () if mode == "idealized" else (0,)
+    check_chunk_bytes(config.replace(M=1), groups)
+    largest = min(TRIAL_CHUNK if groups else TRAJ_CHUNK, config.trials)
+    nbytes = largest * (config.M - 1) * 8
+    if nbytes > CHUNK_BYTES_LIMIT:
+        raise CapacityError(
+            f"a chunk's cross channels at M={config.M} take {nbytes} bytes, "
+            f"over {CHUNK_BYTES_LIMIT}"
+        )
 
 
 def _idealized_amplitude(h: np.ndarray, k: int) -> np.ndarray:
@@ -271,6 +290,7 @@ def estimate_outage(
         raise DomainError(f"rate must be > 0, got {rate!r}")
     if mode not in WEIGHTS_MODES:
         raise ConfigError(f"weights mode must be one of {WEIGHTS_MODES}, got {mode!r}")
+    check_outage_bytes(config, mode)
     parts = map_networks(
         partial(_outage_count, rate, mode, config.M),
         config.replace(M=1),

@@ -21,8 +21,10 @@ trial, source) cells. The kernel draws only the flipped cells, as geometric
 gaps between successive flips over the flat cell index (Devroye, Non-Uniform
 Random Variate Generation, 1986, ch. X), so a frame costs O(B + flips)
 instead of O(B*N): the level change of a proposal is -2 * sum over its
-flipped sources of h_j * alpha_j, and only accepted cells are touched. The
-exact Markov chain in ``markov`` is the independent check of this law.
+flipped sources of h_j * alpha_j. The kernel keeps h * alpha itself and
+negates it in place at accepted cells, so a frame is a few numpy calls on
+O(B + flips) elements, and the weights are read from its signs at the end.
+The exact Markov chain in ``markov`` is the independent check of this law.
 
 Monte Carlo runs over random networks share one chunk primitive,
 ``network_chunk``, with a reducer per command; a chunk that trains no group
@@ -187,9 +189,13 @@ def train_ensemble(
     ``_flip_cells``), drawn ahead in blocks of frames since proposals never
     depend on the state; noisy-mode estimation errors come from
     ``stream.child("noise")``, B normals at initialization and B per frame.
+    The kernel keeps S = H * A for the weights A and negates the entries of
+    S that an accepted proposal flips, so a proposal's level change is
+    -2 * (its sum over S); perfect mode keeps it when that sum is negative.
     With ``record_trace`` every frame is recorded, frame t in column t;
-    the gains are kept incrementally, while ``final_gain`` is recomputed
-    from the final weights, free of accumulated rounding.
+    the gains are kept incrementally, only when noisy estimation or the
+    trace reads them, while ``final_gain`` is recomputed from S, free of
+    accumulated rounding.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[1] != config.N:
@@ -205,8 +211,9 @@ def train_ensemble(
     scale = _pilot_scale(config)
     sigma = config.estimate_std
 
-    A = np.ones((B, N))
-    a_flat = A.reshape(-1)
+    # S = H * A for the current weights A = +-1: an accepted flip negates its cell of S.
+    S = H.copy()
+    s_flat = S.reshape(-1)
     gain = H.sum(axis=1)
     best = scale * gain
     if noisy:
@@ -221,29 +228,34 @@ def train_ensemble(
         rec_gain[:, 0] = gain
         rec_aligned[:, 0] = aligned
 
+    # Perfect mode reads no gain until the end, where final_gain recomputes it.
+    track_gain = noisy or record_trace
     frame_cells = B * N
     block = max(1, FLIP_BLOCK // max(B, 1))
     for t0 in range(1, total, block):
         n_block = min(block, total - t0)
         cells = _flip_cells(gen_u, n_block * frame_cells, N)
-        bounds = np.searchsorted(cells, np.arange(n_block + 1) * frame_cells)
+        bounds = np.searchsorted(cells, np.arange(n_block + 1) * frame_cells).tolist()
         cells %= frame_cells
         rows = cells // N
-        h_cells = H[rows, cells - rows * N]
         for k in range(n_block):
             lo, hi = bounds[k], bounds[k + 1]
             cell, row = cells[lo:hi], rows[lo:hi]
-            ha = h_cells[lo:hi] * a_flat[cell]
-            delta = -2.0 * np.bincount(row, weights=ha, minlength=B)
+            ha = s_flat[cell]
+            tot = np.bincount(row, weights=ha, minlength=B)
+            if track_gain:
+                delta = -2.0 * tot
             if noisy:
                 level = scale * (gain + delta) + sigma * gen_w.standard_normal(B)
                 acc = level > best
                 best = np.where(acc, level, best)
             else:
-                acc = delta > 0
-            gain = np.where(acc, gain + delta, gain)
+                # Equals delta > 0 for every float: the factor -2 is exact.
+                acc = tot < 0.0
+            if track_gain:
+                gain = np.where(acc, gain + delta, gain)
             hit = acc[row]
-            a_flat[cell[hit]] *= -1.0
+            s_flat[cell[hit]] *= -1.0
             if record_trace:
                 # A flipped source leaves alignment if h*a was > 0 and joins if < 0.
                 aligned -= np.bincount(row[hit], weights=np.sign(ha[hit]), minlength=B).astype(
@@ -253,9 +265,10 @@ def train_ensemble(
                 rec_aligned[:, t0 + k] = aligned
                 rec_accepted[:, t0 + k] = acc
 
+    # S is +-H entry by entry, so a weight is -1 exactly where the sign bits differ, zeros too.
     return EnsembleResult(
-        weights=A,
-        final_gain=(H * A).sum(axis=1),
+        weights=np.where(np.signbit(S) != np.signbit(H), -1.0, 1.0),
+        final_gain=S.sum(axis=1),
         gain=rec_gain,
         aligned_count=rec_aligned,
         accepted=rec_accepted,

@@ -582,6 +582,38 @@ def test_analytic_protocol_compare_refuses_huge_m_before_any_allocation(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["idealized", "trained"])
+def test_outage_refuses_huge_m_cross_draws_before_any_draw(tmp_path, monkeypatch, capsys, mode):
+    # One-group networks at N = 200 are small, but a chunk of 200 trials draws
+    # 200 x (2^40 - 1) interfering amplitudes: 1.56 PiB.
+    calls = []
+    generator = feedbeam.rng.RandomStream.generator
+
+    def spy(self):
+        calls.append(self.label)
+        return generator(self)
+
+    monkeypatch.setattr(feedbeam.rng.RandomStream, "generator", spy)
+    M = 2**40
+    doc = base_doc(M=M, N=200, epsilon_o=0.05, trials=200)
+    doc["command"] = "outage"
+    out = tmp_path / "outage.csv"
+    tracemalloc.start()
+    try:
+        code = main(["--config", write_doc(tmp_path, doc), "--mode", mode, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "invalid-config",
+        "message": f"a chunk's cross channels at M={M} take {200 * (M - 1) * 8} bytes, over {2**31}",
+    }
+    assert calls == []
+    assert peak < 2**20
+    assert not out.exists()
+
+
 def test_convergence_refuses_traces_over_the_chunk_byte_limit(tmp_path, monkeypatch, capsys):
     # One trial's channels at N = 2^24 are 128 MiB, under the limit; its trace of
     # k_o N = 10 * 2^24 frames at 13 bytes a frame is 2.03 GiB, over it.

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feedbeam import (
+    CapacityError,
     ChannelRealization,
     ConfigError,
     DimensionError,
@@ -293,6 +294,14 @@ def test_trained_mode_and_all_links(make_config):
     res = estimate_outage(cfg, rate, "trained", RandomStream(cfg.seed, "outage"))
     assert res.mode == "trained"
     assert 0.0 <= res.outage_empirical <= 1.0
+
+
+@pytest.mark.parametrize("mode", ["idealized", "trained"])
+def test_estimate_outage_refuses_huge_m_cross_draws(make_config, mode):
+    # A chunk of 200 trials would draw 200 x (2^40 - 1) interfering amplitudes.
+    cfg = make_config(M=2**40, N=200, epsilon_o=0.05, trials=200)
+    with pytest.raises(CapacityError, match="cross channels at M=1099511627776"):
+        estimate_outage(cfg, 0.5, mode, RandomStream(cfg.seed, "outage"))
 
 
 def test_outage_keeps_nan_bounds_beyond_float_range(make_config):

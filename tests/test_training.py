@@ -21,7 +21,7 @@ from feedbeam import (
     train_group,
     train_network,
 )
-from feedbeam.training import _flip_cells, map_networks
+from feedbeam.training import FLIP_BLOCK, _flip_cells, map_networks
 from feedbeam.util import TRAJ_CHUNK, TRIAL_CHUNK
 
 
@@ -307,6 +307,107 @@ def test_power_of_two_scaling_is_exact(case, k):
     assert np.array_equal(scaled.aligned_count, base.aligned_count)
     assert np.array_equal(scaled.gain, c * base.gain)
     assert np.array_equal(scaled.final_gain, c * base.final_gain)
+
+
+def _reference_train_ensemble(H, config, stream, n_frames, record_trace):
+    """The frame loop that kept the weights A and gathered h at the flipped cells.
+
+    Test-only: ``train_ensemble`` must match it bit for bit, draw for draw.
+    """
+    B, N = H.shape
+    total = n_frames
+    gen_u = stream.child("perturb").generator()
+    noisy = config.estimation_mode == "noisy"
+    gen_w = stream.child("noise").generator() if noisy else None
+    scale = (config.P / config.N) ** 0.5
+    sigma = config.estimate_std
+
+    A = np.ones((B, N))
+    a_flat = A.reshape(-1)
+    gain = H.sum(axis=1)
+    best = scale * gain
+    if noisy:
+        best = best + sigma * gen_w.standard_normal(B)
+
+    rec_gain = rec_aligned = rec_accepted = None
+    if record_trace:
+        rec_gain = np.empty((B, total))
+        rec_aligned = np.empty((B, total), dtype=np.int32)
+        rec_accepted = np.zeros((B, total), dtype=bool)
+        aligned = (H > 0).sum(axis=1)
+        rec_gain[:, 0] = gain
+        rec_aligned[:, 0] = aligned
+
+    frame_cells = B * N
+    block = max(1, FLIP_BLOCK // max(B, 1))
+    for t0 in range(1, total, block):
+        n_block = min(block, total - t0)
+        cells = _flip_cells(gen_u, n_block * frame_cells, N)
+        bounds = np.searchsorted(cells, np.arange(n_block + 1) * frame_cells)
+        cells %= frame_cells
+        rows = cells // N
+        h_cells = H[rows, cells - rows * N]
+        for k in range(n_block):
+            lo, hi = bounds[k], bounds[k + 1]
+            cell, row = cells[lo:hi], rows[lo:hi]
+            ha = h_cells[lo:hi] * a_flat[cell]
+            delta = -2.0 * np.bincount(row, weights=ha, minlength=B)
+            if noisy:
+                level = scale * (gain + delta) + sigma * gen_w.standard_normal(B)
+                acc = level > best
+                best = np.where(acc, level, best)
+            else:
+                acc = delta > 0
+            gain = np.where(acc, gain + delta, gain)
+            hit = acc[row]
+            a_flat[cell[hit]] *= -1.0
+            if record_trace:
+                aligned -= np.bincount(row[hit], weights=np.sign(ha[hit]), minlength=B).astype(
+                    aligned.dtype
+                )
+                rec_gain[:, t0 + k] = gain
+                rec_aligned[:, t0 + k] = aligned
+                rec_accepted[:, t0 + k] = acc
+
+    return A, (H * A).sum(axis=1), rec_gain, rec_aligned, rec_accepted
+
+
+# Signed zeros, a value whose products and sums round, ties and plain floats.
+_EDGE_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 2.0, -2.0]), _CHANNEL_ENTRY)
+
+
+def _bits(a):
+    return a.view(np.uint64) if a.dtype == np.float64 else a
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mode=st.sampled_from(["perfect", "noisy"]),
+    record_trace=st.booleans(),
+    b=st.integers(1, 5),
+    n=st.integers(1, 8),
+    n_frames=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_ensemble_matches_the_reference_loop_bit_for_bit(
+    mode, record_trace, b, n, n_frames, seed, data
+):
+    config = NetworkConfig(
+        M=1, N=n, P=4.0, N_o=1.0, T_f=20, k_o=5.0, epsilon_o=0.1, delta=0.5, seed=seed,
+        estimation_mode=mode,
+    )
+    H = np.array(data.draw(st.lists(_EDGE_ENTRY, min_size=b * n, max_size=b * n))).reshape(b, n)
+    stream = RandomStream(seed, "reference")
+    res = train_ensemble(H, config, stream, n_frames=n_frames, record_trace=record_trace)
+    ref = _reference_train_ensemble(H, config, stream, n_frames, record_trace)
+    fields = (res.weights, res.final_gain, res.gain, res.aligned_count, res.accepted)
+    for got, want in zip(fields, ref):
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_ensemble_batch_of_one_matches_reference_path(make_config):
