@@ -27,24 +27,31 @@ artifacts at any worker count.
 A runner computes; it returns the record array its CSV is written from
 (``_table``), its JSON document and its summary lines. ``run`` alone picks
 the writer: ``_json_text`` of the document or ``_csv_text`` of the rows.
-``_jsonable`` alone maps values to JSON: a dataclass as its fields, a record
-array as one object per row, a non-finite float as null, where CSV writes
-``nan``/``inf``/``-inf``. Every column is a typed array, and ``_csv_text``
-picks one conversion per column from its dtype (``%d`` for bools and
-integers, ``%.17g`` for floats, ``%s`` for text). Each block of rows is built
-as bytes in numpy, with no Python string per cell or per row. A bool or
-integer column whose values span fewer values than the block has rows is
-read from a lookup table that formats each value from its minimum to its
-maximum once. Any other column formats each distinct value once and gathers
-the cells, so a trace whose gain changes only at accepted frames formats few
-values. Floats are told apart by their bits, so ``-0.0`` and ``0.0`` keep
-their own cells. The cells and separators go into one fixed-width byte
-matrix, and one compaction per block drops the NUL padding. The columns of
-a per-N command are the fields of its result dataclass, in field order, and
-named extras: ``slope`` after ``ProbeRow``, ``N`` and ``M`` before
-``ProtocolReport`` and ``sigma_source`` and ``rate_assumed`` after it. JSON
-rows add ``link`` (outage) and ``sigma_per_link``; the probe's JSON is its
-``ProbeResult``.
+``_jsonable`` alone maps other values to JSON: a dataclass as its fields, a
+non-finite float as null, where CSV writes ``nan``/``inf``/``-inf``. One
+block writer, ``_append_rows``, writes a record array in both formats: in
+CSV one line per row, in JSON one object per row, keys sorted, indented as
+``json.dumps(indent=2, sort_keys=True)`` indents it at its depth in the
+document, with the same bytes. Every column is a typed array, and the writer
+picks one conversion per column from its dtype and the format: in CSV
+``%d`` for bools and integers, ``%.17g`` for floats and text as is; in JSON
+``true``/``false``, decimal integers, ``repr`` of a float or null, and
+``json.dumps`` of text. Each block of rows is built as bytes in numpy, with
+no Python string per cell or per row. A bool or integer column whose values
+span fewer values than the block has rows is read from a lookup table that
+formats each value from its minimum to its maximum once. Any other column
+formats each distinct value once and gathers the cells, so a trace whose
+gain changes only at accepted frames formats few values. Floats are told
+apart by their bits, so ``-0.0`` and ``0.0`` keep their own cells. The cells
+and the constant pieces between them (a comma and a newline in CSV; keys,
+indents and braces in JSON) go into one fixed-width byte matrix, and one
+compaction per block drops the NUL padding. So a CSV text cell that holds a
+NUL, or a lone surrogate with no UTF-8 form, is refused with exit 2; JSON
+escapes both. The columns of a per-N command are the fields of its result
+dataclass, in field order, and named extras: ``slope`` after ``ProbeRow``,
+``N`` and ``M`` before ``ProtocolReport`` and ``sigma_source`` and
+``rate_assumed`` after it. JSON rows add ``link`` (outage) and
+``sigma_per_link``; the probe's JSON is its ``ProbeResult``.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ import inspect
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -216,15 +224,40 @@ def serialize(spec: ExperimentSpec) -> str:
 # serialization helpers
 
 
-# The `%` conversion of each numpy dtype kind a column may have: "%.17g" % x ==
-# format(x, ".17g") for every float, a bool is written as its 0/1 by "%d",
-# and text as its UTF-8 bytes.
-_CONVERSION = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
-# Rows per block of `_csv_text`. On the 512 000 rows of a benchmark trace,
+# The cell conversion of each numpy dtype kind a column may have, per format.
+# CSV: "%.17g" % x == format(x, ".17g") for every float, a bool is its 0/1
+# and text its UTF-8 bytes. JSON: what json.dumps writes of the Python value,
+# a float by repr and a non-finite one as null, a bool as true/false and text
+# escaped to ASCII.
+_CELL = {
+    "csv": {
+        "b": "%d".__mod__,
+        "i": "%d".__mod__,
+        "u": "%d".__mod__,
+        "f": "%.17g".__mod__,
+        "U": str,
+    },
+    "json": {
+        "b": lambda v: "true" if v else "false",
+        "i": "%d".__mod__,
+        "u": "%d".__mod__,
+        "f": lambda x: repr(x) if math.isfinite(x) else "null",
+        "U": json.dumps,
+    },
+}
+# Rows per block of `_append_rows`. On the 512 000 rows of a benchmark trace,
 # blocks of 16384 to 65536 rows wrote equally fast and 8192 was slower; a
 # larger block formats its integer lookup tables and repeated floats fewer
 # times but holds larger temporaries.
 _BLOCK_ROWS = 32768
+# A NUL would go with the padding of the byte matrix, and a lone surrogate has
+# no UTF-8 bytes: no CSV cell may hold either. (The patterns are compiled on
+# first use, by `re`'s cache, and not at import.)
+_NOT_CSV_TEXT = r"[\x00\ud800-\udfff]"
+# Where json.dumps wrote the bare NaN that stands for a record array. No other
+# value of a `_jsonable` document is written as NaN, and inside a string NaN is
+# never followed by a raw newline or the end of the text.
+_RECORDS_MARK = r"NaN(?=,?\n|\Z)"
 
 
 def _table(columns: Sequence[str], values: Sequence[Any]) -> np.recarray:
@@ -233,7 +266,7 @@ def _table(columns: Sequence[str], values: Sequence[Any]) -> np.recarray:
     return np.rec.fromarrays([np.asarray(v) for v in values], names=list(columns))
 
 
-def _cells(col: np.ndarray, conversion: str) -> np.ndarray:
+def _cells(col: np.ndarray, conversion: Callable[[Any], str]) -> np.ndarray:
     """The cells of one block of a column as a byte-string (`S`) array."""
     if col.dtype.kind in "biu":
         ints = col.view(np.uint8) if col.dtype.kind == "b" else col
@@ -242,44 +275,87 @@ def _cells(col: np.ndarray, conversion: str) -> np.ndarray:
             # Each value from lo to hi formatted once, looked up at v - lo. The
             # difference may wrap in the column's dtype, but its unsigned view
             # of the same width is exact.
-            table = np.array([(conversion % v).encode() for v in range(lo, hi + 1)])
+            table = np.array([conversion(v).encode() for v in range(lo, hi + 1)])
             return table.take((ints - ints.dtype.type(lo)).view(f"u{ints.itemsize}"))
     # Each distinct value formatted once. Floats are told apart by their bits,
     # so -0.0 and 0.0 keep their own cells.
     keys = col.view(f"u{col.itemsize}") if col.dtype.kind == "f" else col
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    table = np.array([(conversion % x).encode() for x in col[first].tolist()])
+    table = np.array([conversion(x).encode() for x in col[first].tolist()])
     return table.take(inverse)
+
+
+def _append_rows(
+    text: bytearray, rows: np.ndarray, names: Sequence[str], fmt: str, pieces: Sequence[bytes]
+) -> None:
+    """Append each row of ``rows`` to ``text`` as ``pieces[0]``, the cell of
+    ``names[0]``, ``pieces[1]``, ..., the cell of ``names[-1]``, ``pieces[-1]``.
+
+    Each column's conversion is picked once from its dtype and ``fmt``; a
+    column of a kind without one is refused. Each block of rows is built as
+    bytes: the `_cells` of every column go between the pieces into one
+    fixed-width byte matrix, one matrix row per row, and one compaction drops
+    the NUL padding. So no cell or piece may hold a NUL byte.
+    """
+    fields = []
+    for name in names:
+        col = rows[name]
+        if col.dtype.kind not in _CELL[fmt]:  # an integer beyond 64 bits makes objects
+            raise CapacityError(f"column {name!r} has no {fmt.upper()} cell type: {col.dtype}")
+        fields.append((col, _CELL[fmt][col.dtype.kind]))
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        cells = [_cells(col[lo : lo + _BLOCK_ROWS], conversion) for col, conversion in fields]
+        n = len(cells[0])
+        widths = [c.itemsize for c in cells]
+        template = bytearray(b"".join(p + bytes(w) for p, w in zip(pieces, [*widths, 0])))
+        # One row of pieces repeated n times, as fast as a fill; a broadcast
+        # copy of the row into the matrix is several times slower.
+        line = np.frombuffer(template * n, dtype=np.uint8).reshape(n, len(template))
+        start = 0
+        for piece, c in zip(pieces, cells):
+            start += len(piece)
+            line[:, start : start + c.itemsize] = c.view(np.uint8).reshape(n, c.itemsize)
+            start += c.itemsize
+        text.extend(line[line != 0])
 
 
 def _csv_text(rows: np.recarray) -> str:
     """CSV text of the record array ``rows``, one column per field.
 
-    Each column's conversion is picked once from its dtype; a column of a
-    kind without one is refused. Each block of rows is built as bytes: the
-    `_cells` of every column and the separators go side by side into one
-    fixed-width byte matrix, one row per line, and one compaction drops the
-    NUL padding. So no cell may hold a NUL byte.
+    A text cell that holds a NUL or has no UTF-8 form is refused.
     """
     columns = rows.dtype.names
     for name in columns:
-        if rows[name].dtype.kind not in _CONVERSION:  # an integer beyond 64 bits makes objects
-            raise CapacityError(f"column {name!r} has no CSV cell type: {rows[name].dtype}")
-    fields = [(rows[name], _CONVERSION[rows[name].dtype.kind]) for name in columns]
+        if rows[name].dtype.kind == "U":
+            bad = [s for s in np.unique(rows[name]).tolist() if re.search(_NOT_CSV_TEXT, s)]
+            if bad:
+                raise CapacityError(
+                    f"column {name!r} has a cell with a NUL or a lone surrogate, "
+                    f"which CSV cannot hold: {bad[0]!r}"
+                )
     # One growing buffer, not a list of blocks and their join: at most the
     # bytes and the decoded text are held at once.
     text = bytearray((",".join(columns) + "\n").encode())
-    for lo in range(0, len(rows), _BLOCK_ROWS):
-        cells = [_cells(col[lo : lo + _BLOCK_ROWS], conversion) for col, conversion in fields]
-        n = len(cells[0])
-        line = np.full((n, sum(c.itemsize + 1 for c in cells)), ord(","), dtype=np.uint8)
-        start = 0
-        for c in cells:  # each cell is followed by its separator
-            line[:, start : start + c.itemsize] = c.view(np.uint8).reshape(n, c.itemsize)
-            start += c.itemsize + 1
-        line[:, -1] = ord("\n")
-        text.extend(line[line != 0])
+    _append_rows(text, rows, columns, "csv", [b"", *[b","] * (len(columns) - 1), b"\n"])
     return text.decode()
+
+
+def _append_records(text: bytearray, rows: np.ndarray, outer: str) -> None:
+    """Append the record array ``rows`` as ``json.dumps(indent=2,
+    sort_keys=True)`` writes a list of one object per row, at the depth whose
+    indent is ``outer``."""
+    if len(rows) == 0:
+        text.extend(b"[]")
+        return
+    names = sorted(rows.dtype.names)
+    item, field = outer + "  ", outer + "    "
+    keys = [json.dumps(name) + ": " for name in names]
+    pieces = [f"{item}{{\n{field}{keys[0]}", *(f",\n{field}{k}" for k in keys[1:])]
+    pieces.append(f"\n{item}}},\n")
+    text.extend(b"[\n")
+    _append_rows(text, rows, names, "json", [p.encode() for p in pieces])
+    del text[-2:]  # the last object's ",\n"
+    text.extend(f"\n{outer}]".encode())
 
 
 def _jsonable(obj: Any) -> Any:
@@ -287,9 +363,7 @@ def _jsonable(obj: Any) -> Any:
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.names:  # a record array: one object per row
-            return [_jsonable(dict(zip(obj.dtype.names, row))) for row in obj.tolist()]
+    if isinstance(obj, np.ndarray) and not obj.dtype.names:  # a record array is `_json_text`'s
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -304,7 +378,30 @@ def _jsonable(obj: Any) -> Any:
 
 
 def _json_text(doc: Any) -> str:
-    return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
+    """``json.dumps(indent=2, sort_keys=True)`` of ``doc`` as `_jsonable` maps
+    it, with a record array as a list of one object per row.
+
+    json.dumps writes the document with a bare NaN in place of each record
+    array, and each one's rows are then appended at its depth, which is the
+    indent of the line its NaN is on.
+    """
+    records = []
+
+    def mark(obj: Any) -> float:  # json.dumps calls it in the order it writes
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        records.append(obj)
+        return math.nan
+
+    dumped = json.dumps(_jsonable(doc), indent=2, sort_keys=True, default=mark)
+    pieces = re.split(_RECORDS_MARK, dumped)
+    text = bytearray(pieces[0].encode())
+    for rows, before, after in zip(records, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        _append_records(text, rows, " " * (len(line) - len(line.lstrip(" "))))
+        text.extend(after.encode())
+    text.extend(b"\n")
+    return text.decode()
 
 
 def _atomic_write(path: str, text: str) -> None:

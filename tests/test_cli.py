@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,10 +18,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, from_dtype
 
 import feedbeam
-from feedbeam import ConfigError, RandomStream, epsilon_max, run_convergence
+from feedbeam import ConfigError, FeedbeamError, RandomStream, epsilon_max, run_convergence
 from feedbeam.cli import (
     _BLOCK_ROWS,
-    _CONVERSION,
+    _CELL,
     _TABLE,
     COMMANDS,
     EXIT_CONFIG,
@@ -33,6 +34,7 @@ from feedbeam.cli import (
     _atomic_write,
     _csv_text,
     _Flags,
+    _json_text,
     _table,
     load_config,
     loads_config,
@@ -651,6 +653,32 @@ def test_csv_refuses_a_column_beyond_64_bit_integers(tmp_path, capsys):
     assert json.loads(json_out.read_text())["N"] == N
 
 
+@pytest.mark.parametrize("cell", ["a\0b", "\ud800", "x\udfffy", "\0\udc80"])
+def test_csv_refuses_text_it_cannot_hold_and_json_escapes_it(tmp_path, monkeypatch, capsys, cell):
+    # No runner makes such a cell, so one that does stands in for `bounds`.
+    rows = _table(["N", "mode"], [[50, 60], ["idealized", cell]])
+
+    def runner(spec, flags):
+        return rows, rows, []
+
+    monkeypatch.setitem(_TABLE, "bounds", _TABLE["bounds"]._replace(runner=runner))
+    doc = base_doc(N=50, M=2, epsilon_o=0.05)
+    doc["command"] = "bounds"
+    path = write_doc(tmp_path, doc)
+    csv_out, json_out = tmp_path / "b.csv", tmp_path / "b.json"
+    assert main(["--config", path, "--format", "csv", "--out", str(csv_out)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "invalid-config",
+        "message": "column 'mode' has a cell with a NUL or a lone surrogate, "
+        f"which CSV cannot hold: {cell!r}",
+    }
+    assert not csv_out.exists()
+    assert main(["--config", path, "--format", "json", "--out", str(json_out)]) == EXIT_OK
+    assert json_out.read_text(encoding="ascii") == _reference_json_text(rows)
+    assert json.loads(json_out.read_text())[1] == {"N": 60, "mode": cell}
+
+
 def test_unwritable_path_exit_code(tmp_path, capsys):
     doc = base_doc(N=50, M=2, epsilon_o=0.05)
     doc["command"] = "bounds"
@@ -1162,27 +1190,36 @@ def per_cell_csv(columns, rows):
     return "\n".join(lines) + "\n"
 
 
-# A text column as a list of cells, numpy making it a `U` array: any text but
-# NUL, which no cell may hold, non-ASCII and empty cells included.
-_TEXT_CELLS = st.text(st.characters(exclude_characters="\0"))
+# A text column as a list of cells, numpy making it a `U` array: any text,
+# NUL, lone surrogates, non-ASCII and empty cells included.
+_TEXT_CELLS = st.text(st.characters(exclude_categories=()))
 # Columns given as arrays, which keep their dtype.
 _DTYPES = ["bool", "int8", "int32", "int64", "uint64", "float32", "float64"]
 # Array columns whose cells repeat: every cell is one of a pool of at most three values.
 _POOLED = [f"{dtype} pooled" for dtype in _DTYPES]
+# The values a float column must keep apart (-0.0, 0.0), that never compare
+# equal, that are not finite, or the smallest subnormal.
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]
 
 
 def column(kind, n_rows):
-    """A strategy for one column of ``n_rows`` cells of the given kind."""
+    """A strategy for one column of ``n_rows`` cells of the given kind.
+
+    Every strategy draws arrays, which are sparse above a few hundred cells:
+    a few hundred drawn cells, and one drawn fill value in all other rows.
+    """
     if kind == "text":
-        return st.lists(_TEXT_CELLS, min_size=n_rows, max_size=n_rows)
+        return arrays(object, n_rows, elements=_TEXT_CELLS).map(list)
     if kind in _POOLED:
         dtype = np.dtype(kind.split()[0])
         elements = from_dtype(dtype)
-        if dtype.kind == "f":  # the values that must stay apart (-0.0, 0.0) or never compare equal
-            elements = st.sampled_from([0.0, -0.0, math.nan, math.inf]) | elements
+        if dtype.kind == "f":
+            elements = st.sampled_from(_EDGE_FLOATS) | elements
         return st.lists(elements, min_size=1, max_size=3).flatmap(
-            lambda pool: st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows)
-        ).map(lambda cells: np.array(cells, dtype=dtype))
+            lambda pool: arrays(np.intp, n_rows, elements=st.integers(0, len(pool) - 1)).map(
+                lambda index: np.array(pool, dtype=dtype)[index]
+            )
+        )
     return arrays(kind, n_rows)
 
 
@@ -1197,7 +1234,20 @@ def test_csv_writer_matches_per_cell_formatting(data):
     columns = [f"c{i}" for i in range(len(kinds))]
     rows = _table(columns, values)
     assert len(rows) == n_rows
-    assert _csv_text(rows) == per_cell_csv(columns, list(zip(*values)))
+    # A `U` array drops each cell's trailing NULs.
+    values = [[c.rstrip("\0") for c in v] if k == "text" else v for k, v in zip(kinds, values)]
+    # A NUL the array holds would go with the padding, and a lone surrogate has
+    # no UTF-8 bytes: the first text column holding either is refused by name.
+    refused = [
+        name
+        for name, kind, cells in zip(columns, kinds, values)
+        if kind == "text" and any(re.search(r"[\x00\ud800-\udfff]", s) for s in cells)
+    ]
+    if refused:
+        with pytest.raises(FeedbeamError, match=f"^column '{refused[0]}' has a cell with a NUL"):
+            _csv_text(rows)
+    else:
+        assert _csv_text(rows) == per_cell_csv(columns, list(zip(*values)))
 
 
 def test_csv_writer_blocks_and_array_columns():
@@ -1291,6 +1341,65 @@ def test_csv_writer_edge_cells_across_two_block_edges():
     assert lines[n].startswith(",-9223372036854775808,18446744073709551")
 
 
+def _reference_jsonable(obj):
+    """JSON values of a document, one Python dict per row of a record array and
+    None for a non-finite float."""
+    if isinstance(obj, dict):
+        return {k: _reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.names:
+            return [_reference_jsonable(dict(zip(obj.dtype.names, row))) for row in obj.tolist()]
+        return [_reference_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return x if math.isfinite(x) else None
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _reference_jsonable(dataclasses.asdict(obj))
+    return obj
+
+
+def _reference_json_text(doc):
+    """The JSON writer's reference: json.dumps of the whole document, a dict per row."""
+    return json.dumps(_reference_jsonable(doc), indent=2, sort_keys=True) + "\n"
+
+
+# Field names that sort out of order and that JSON escapes, next to strings
+# and non-finite floats that look like the writer's stand-in for a record array.
+_FIELD_NAMES = ["b", "a", 'q"t', "é", "\u2603", "back\\slash", "tab\tstop", "NaN"]
+
+
+def _json_doc(rows, depth):
+    """A document holding ``rows`` at ``depth``: the whole document, a dict
+    value, or in a list inside a dict, next to its first row."""
+    if depth == 0:
+        return rows
+    if depth == 1:
+        return {"states": rows, "NaN": "NaN", "a": [math.nan, "x,\nNaN"], "z": -math.inf}
+    return {"N": 3, "runs": [rows, "NaN", math.nan, {"NaN": None}, rows[:1]], "NaN": [math.nan]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_json_writer_matches_the_reference_at_any_depth(data):
+    n_rows = data.draw(st.sampled_from([0, 1, 2 * _BLOCK_ROWS + 3]))
+    names = data.draw(st.lists(st.sampled_from(_FIELD_NAMES), min_size=1, max_size=4, unique=True))
+    kinds = [data.draw(st.sampled_from(["text"] + _DTYPES + _POOLED)) for _ in names]
+    rows = _table(names, [data.draw(column(kind, n_rows)) for kind in kinds])
+    assert rows.dtype.names == tuple(names)
+    doc = _json_doc(rows, data.draw(st.sampled_from([0, 1, 2])))
+    text, reference = _json_text(doc), _reference_json_text(doc)
+    if text != reference:  # shown from the first difference: a diff of whole texts takes minutes
+        at = next(i for i, (a, b) in enumerate(zip(text + "\0", reference + "\1")) if a != b)
+        around = slice(max(at - 60, 0), at + 60)
+        pytest.fail(f"first difference at {at}: {text[around]!r} != {reference[around]!r}")
+
+
 _RUNNER_CASES = {
     "convergence": ("convergence", {}),
     "markov-verify": ("markov-verify", {}),
@@ -1314,7 +1423,7 @@ def test_every_runner_writes_only_typed_columns(command, flags):
         loads_config(json.dumps(doc)), _Flags(**{**defaults, **flags})
     )
     kinds = {name: rows[name].dtype.kind for name in rows.dtype.names}
-    assert set(kinds.values()) <= set(_CONVERSION), kinds
+    assert set(kinds.values()) <= set(_CELL["csv"]) == set(_CELL["json"]), kinds
 
 
 def test_convergence_artifacts_match_row_by_row_reference(tmp_path):
