@@ -24,17 +24,18 @@ any bad input with one JSON line on stderr and never raises; only
 0o666 less the umask) and reruns with the same spec produce byte-identical
 artifacts at any worker count.
 
-A runner computes; it returns the record array its CSV is written from
-(``_table``), its JSON document and its summary lines. ``run`` alone picks
-the writer: ``_json_text`` of the document or ``_csv_text`` of the rows.
-``_jsonable`` alone maps other values to JSON: a dataclass as its fields, a
-non-finite float as null, where CSV writes ``nan``/``inf``/``-inf``. One
-block writer, ``_append_rows``, writes a record array in both formats: in
-CSV one line per row, in JSON one object per row, keys sorted, indented as
+A runner computes; it returns the column table its CSV is written from
+(``_table``: names mapped to contiguous typed 1-D arrays of one length), its
+JSON document and its summary lines. ``run`` alone picks the writer:
+``_json_text`` of the document or ``_csv_text`` of the rows. ``_jsonable``
+alone maps other values to JSON: a dataclass as its fields, a non-finite
+float as null, where CSV writes ``nan``/``inf``/``-inf``. One block writer,
+``_append_rows``, writes a column table in both formats: in CSV one line per
+row, in JSON one object per row, keys sorted, indented as
 ``json.dumps(indent=2, sort_keys=True)`` indents it at its depth in the
 document, with the same bytes. Every column is a typed array, and the writer
-picks one conversion per column from its dtype and the format: in CSV
-``%d`` for bools and integers, ``%.17g`` for floats and text as is; in JSON
+picks one conversion per column from its dtype and the format: in CSV ``%d``
+for bools and integers, ``%.17g`` for floats and text as is; in JSON
 ``true``/``false``, decimal integers, ``repr`` of a float or null, and
 ``json.dumps`` of text. Each block of rows is built as bytes in numpy, with
 no Python string per cell or per row. A bool or integer column whose values
@@ -47,16 +48,16 @@ and the constant pieces between them (a comma and a newline in CSV; keys,
 indents and braces in JSON) go into one fixed-width byte matrix, and one
 compaction per block drops the NUL padding. So a CSV text cell that holds a
 NUL, or a lone surrogate with no UTF-8 form, is refused with exit 2; JSON
-escapes both. The columns of a per-N command are the fields of its result
-dataclass, in field order, and named extras: ``slope`` after ``ProbeRow``,
-``N`` and ``M`` before ``ProtocolReport`` and ``sigma_source`` and
-``rate_assumed`` after it. JSON rows add ``link`` (outage) and
-``sigma_per_link``; the probe's JSON is its ``ProbeResult``.
+escapes both. A text cell that ends in NUL is refused in both formats, since
+a numpy text column cannot hold it. The columns of a per-N command are the
+fields of its result dataclass, in field order, and named extras: ``slope``
+after ``ProbeRow``, ``N`` and ``M`` before ``ProtocolReport`` and
+``sigma_source`` and ``rate_assumed`` after it. JSON rows add ``link``
+(outage) and ``sigma_per_link``; the probe's JSON is its ``ProbeResult``.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import inspect
 import json
@@ -254,16 +255,49 @@ _BLOCK_ROWS = 32768
 # no UTF-8 bytes: no CSV cell may hold either. (The patterns are compiled on
 # first use, by `re`'s cache, and not at import.)
 _NOT_CSV_TEXT = r"[\x00\ud800-\udfff]"
-# Where json.dumps wrote the bare NaN that stands for a record array. No other
+# Where json.dumps wrote the bare NaN that stands for a column table. No other
 # value of a `_jsonable` document is written as NaN, and inside a string NaN is
 # never followed by a raw newline or the end of the text.
 _RECORDS_MARK = r"NaN(?=,?\n|\Z)"
 
 
-def _table(columns: Sequence[str], values: Sequence[Any]) -> np.recarray:
-    """Record array with one typed column per entry of ``values``: an array
-    keeps its dtype, and a list of cells becomes the array numpy makes of it."""
-    return np.rec.fromarrays([np.asarray(v) for v in values], names=list(columns))
+class _Table:
+    """Named columns of one length: ``table[name]`` is a contiguous typed 1-D
+    array, ``names`` the column order and ``len(table)`` the row count."""
+
+    __slots__ = ("names", "_columns")
+
+    def __init__(self, columns: dict[str, np.ndarray]) -> None:
+        self.names, self._columns = tuple(columns), columns
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._columns[name]
+
+    def __len__(self) -> int:
+        return len(self._columns[self.names[0]])
+
+
+def _table(columns: Sequence[str], values: Sequence[Any]) -> _Table:
+    """Column table with one typed column per entry of ``values``: an array
+    keeps its dtype, and a list of cells becomes the array numpy makes of it.
+
+    A numpy text column drops a cell's trailing NULs, so a text cell that ends
+    in NUL is refused rather than written short.
+    """
+    arrays = {}
+    for name, v in zip(columns, values):
+        col = np.ascontiguousarray(v)
+        if col.dtype.kind == "U" and not isinstance(v, np.ndarray):
+            bad = [s for s in v if isinstance(s, str) and s.endswith("\0")]
+            if bad:
+                raise CapacityError(
+                    f"column {name!r} has a text cell ending in NUL, "
+                    f"which a text column cannot hold: {bad[0]!r}"
+                )
+        arrays[name] = col
+    if len({col.shape for col in arrays.values()}) != 1 or arrays[columns[0]].ndim != 1:
+        raise ValueError(f"columns must be 1-D and of one length: {list(columns)}")
+    return _Table(arrays)
 
 
 def _cells(col: np.ndarray, conversion: Callable[[Any], str]) -> np.ndarray:
@@ -286,7 +320,7 @@ def _cells(col: np.ndarray, conversion: Callable[[Any], str]) -> np.ndarray:
 
 
 def _append_rows(
-    text: bytearray, rows: np.ndarray, names: Sequence[str], fmt: str, pieces: Sequence[bytes]
+    text: bytearray, rows: _Table, names: Sequence[str], fmt: str, pieces: Sequence[bytes]
 ) -> None:
     """Append each row of ``rows`` to ``text`` as ``pieces[0]``, the cell of
     ``names[0]``, ``pieces[1]``, ..., the cell of ``names[-1]``, ``pieces[-1]``.
@@ -319,12 +353,12 @@ def _append_rows(
         text.extend(line[line != 0])
 
 
-def _csv_text(rows: np.recarray) -> str:
-    """CSV text of the record array ``rows``, one column per field.
+def _csv_text(rows: _Table) -> str:
+    """CSV text of the column table ``rows``.
 
     A text cell that holds a NUL or has no UTF-8 form is refused.
     """
-    columns = rows.dtype.names
+    columns = rows.names
     for name in columns:
         if rows[name].dtype.kind == "U":
             bad = [s for s in np.unique(rows[name]).tolist() if re.search(_NOT_CSV_TEXT, s)]
@@ -340,14 +374,14 @@ def _csv_text(rows: np.recarray) -> str:
     return text.decode()
 
 
-def _append_records(text: bytearray, rows: np.ndarray, outer: str) -> None:
-    """Append the record array ``rows`` as ``json.dumps(indent=2,
+def _append_records(text: bytearray, rows: _Table, outer: str) -> None:
+    """Append the column table ``rows`` as ``json.dumps(indent=2,
     sort_keys=True)`` writes a list of one object per row, at the depth whose
     indent is ``outer``."""
     if len(rows) == 0:
         text.extend(b"[]")
         return
-    names = sorted(rows.dtype.names)
+    names = sorted(rows.names)
     item, field = outer + "  ", outer + "    "
     keys = [json.dumps(name) + ": " for name in names]
     pieces = [f"{item}{{\n{field}{keys[0]}", *(f",\n{field}{k}" for k in keys[1:])]
@@ -363,7 +397,7 @@ def _jsonable(obj: Any) -> Any:
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray) and not obj.dtype.names:  # a record array is `_json_text`'s
+    if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -379,16 +413,16 @@ def _jsonable(obj: Any) -> Any:
 
 def _json_text(doc: Any) -> str:
     """``json.dumps(indent=2, sort_keys=True)`` of ``doc`` as `_jsonable` maps
-    it, with a record array as a list of one object per row.
+    it, with a column table as a list of one object per row.
 
-    json.dumps writes the document with a bare NaN in place of each record
-    array, and each one's rows are then appended at its depth, which is the
+    json.dumps writes the document with a bare NaN in place of each column
+    table, and each one's rows are then appended at its depth, which is the
     indent of the line its NaN is on.
     """
     records = []
 
     def mark(obj: Any) -> float:  # json.dumps calls it in the order it writes
-        if not isinstance(obj, np.ndarray):
+        if not isinstance(obj, _Table):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
         records.append(obj)
         return math.nan
@@ -431,10 +465,10 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# command runners: each returns the record array the CSV is written from, the
+# command runners: each returns the column table the CSV is written from, the
 # JSON document and the summary lines; `run` picks the writer
 
-_Result = tuple[np.recarray, Any, list[str]]
+_Result = tuple[_Table, Any, list[str]]
 
 
 @dataclass(frozen=True)
@@ -484,15 +518,20 @@ def _cmd_convergence(spec: ExperimentSpec, flags: _Flags) -> _Result:
         f"convergence N={cfg.N} M={cfg.M} trials={cfg.trials} "
         f"frames={k} final_gain_ratio={ratio:.4f}"
     ]
+    # Each index column in the smallest unsigned type that holds it; the trace
+    # columns are the result's own arrays, not copies.
+    trial, group, t = (
+        np.arange(n, dtype=np.min_scalar_type(n - 1)) for n in (cfg.trials, cfg.M, k)
+    )
     rows = _table(
         ("trial", "group", "t", "gain", "aligned_count", "accepted"),
         [
-            np.repeat(np.arange(cfg.trials), cfg.M * k),
-            np.tile(np.repeat(np.arange(cfg.M), k), cfg.trials),
-            np.tile(np.arange(k), cfg.trials * cfg.M),
+            np.repeat(trial, cfg.M * k),
+            np.tile(np.repeat(group, k), cfg.trials),
+            np.tile(t, cfg.trials * cfg.M),
             res.gain.reshape(-1),
             res.aligned_count.reshape(-1),
-            res.accepted.reshape(-1).astype(bool),
+            res.accepted.reshape(-1),
         ],
     )
     return rows, rows, summary
@@ -674,15 +713,16 @@ def run(
     return summary
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> NoReturn:  # a bad flag is a bad config, not an exit
-        raise ConfigError(message)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     """Options only, each matched by its full name: a flag left out is absent
     from the namespace, and the spec and `run` check every value and hold
-    every default."""
+    every default. (argparse is imported here, so `run` alone never loads it.)"""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> NoReturn:  # a bad flag is a bad config, not an exit
+            raise ConfigError(message)
+
     default = {k: v.default for k, v in inspect.signature(run).parameters.items()}
     p = _Parser(
         prog="feedbeam",

@@ -111,10 +111,27 @@ def _flip_cells(gen: np.random.Generator, n_cells: int, n: int) -> np.ndarray:
     p = 1.0 / n
     expected = n_cells * p
     size = int(expected + 4.0 * expected**0.5) + 16
-    pos = np.cumsum(gen.geometric(p, size)) - 1
+    pos = np.cumsum(_gaps(gen, p, size)) - 1
     while pos[-1] < n_cells:
-        pos = np.concatenate((pos, pos[-1] + np.cumsum(gen.geometric(p, size))))
+        pos = np.concatenate((pos, pos[-1] + np.cumsum(_gaps(gen, p, size))))
     return pos[: np.searchsorted(pos, n_cells)]
+
+
+def _gaps(gen: np.random.Generator, p: float, size: int) -> np.ndarray:
+    """``gen.geometric(p, size)``, the same draws from the same stream.
+
+    Below p = 1/3 numpy's geometric is ceil(E / -log1p(-p)) of one standard
+    exponential E per draw, and the same formula on a vector of exponentials
+    is about twice as fast at the kernel's ~8k draws per block. The scale
+    comes from ``math.log1p``, the C library's log1p that numpy calls, not
+    from a vectorized ufunc loop. From p = 1/3 on, numpy searches instead, so
+    its geometric is kept there.
+    """
+    if p >= 1.0 / 3.0:
+        return gen.geometric(p, size)
+    gaps = gen.standard_exponential(size)
+    gaps /= -math.log1p(-p)
+    return np.ceil(gaps, out=gaps).astype(np.int64)
 
 
 def train_group(

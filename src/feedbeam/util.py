@@ -9,7 +9,6 @@ serially or on a process pool.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 from .errors import CapacityError
@@ -60,5 +59,9 @@ def map_chunks(worker: Callable[..., T], tasks: Sequence[tuple], workers: int = 
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(*task) for task in tasks]
+    # Imported here: the pool's modules (multiprocessing, logging, socket,
+    # subprocess) would add to every serial run's start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, *zip(*tasks)))

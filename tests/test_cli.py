@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, from_dtype
 
 import feedbeam
-from feedbeam import ConfigError, FeedbeamError, RandomStream, epsilon_max, run_convergence
+from feedbeam import (
+    CapacityError,
+    ConfigError,
+    FeedbeamError,
+    RandomStream,
+    epsilon_max,
+    run_convergence,
+)
 from feedbeam.cli import (
     _BLOCK_ROWS,
     _CELL,
@@ -35,6 +42,7 @@ from feedbeam.cli import (
     _csv_text,
     _Flags,
     _json_text,
+    _Table,
     _table,
     load_config,
     loads_config,
@@ -679,6 +687,32 @@ def test_csv_refuses_text_it_cannot_hold_and_json_escapes_it(tmp_path, monkeypat
     assert json.loads(json_out.read_text())[1] == {"N": 60, "mode": cell}
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("cell", ["a\0", "\0", "a\0b\0\0"])
+def test_a_text_cell_ending_in_nul_is_refused_in_both_formats(
+    tmp_path, monkeypatch, capsys, fmt, cell
+):
+    # A numpy text column drops trailing NULs, so the table refuses the cell
+    # instead of writing it short. No runner makes one; this one stands in for `bounds`.
+    def runner(spec, flags):
+        rows = _table(["N", "mode"], [[50, 60], ["idealized", cell]])
+        return rows, rows, []
+
+    monkeypatch.setitem(_TABLE, "bounds", _TABLE["bounds"]._replace(runner=runner))
+    doc = base_doc(N=50, M=2, epsilon_o=0.05)
+    doc["command"] = "bounds"
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / f"b.{fmt}"
+    assert main(["--config", path, "--format", fmt, "--out", str(out)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "invalid-config",
+        "message": "column 'mode' has a text cell ending in NUL, "
+        f"which a text column cannot hold: {cell!r}",
+    }
+    assert not out.exists()
+
+
 def test_unwritable_path_exit_code(tmp_path, capsys):
     doc = base_doc(N=50, M=2, epsilon_o=0.05)
     doc["command"] = "bounds"
@@ -858,6 +892,22 @@ def test_no_command_imports_scipy(tmp_path):
         "print(eager, codes, mean > 0, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
     )
     assert last_line_of_python(code) == f"True {[EXIT_OK] * len(argvs)} True []"
+
+
+def test_a_serial_run_loads_neither_the_pool_nor_the_parser(tmp_path):
+    # The process pool and argparse are imported where they are used, so a
+    # one-worker `run` of a spec built in code does not pay for them at start-up.
+    doc = {"command": "convergence", **base_doc(M=2, N=10, trials=4, k_o=2.0)}
+    doc["output_path"] = str(tmp_path / "conv.csv")
+    code = (
+        "import sys\n"
+        "import feedbeam.cli\n"
+        f"feedbeam.cli.run(feedbeam.cli.loads_config({json.dumps(doc)!r}), workers=1)\n"
+        "heavy = ('multiprocessing', 'concurrent.futures.process', 'argparse')\n"
+        "print([m for m in heavy if m in sys.modules])\n"
+    )
+    assert last_line_of_python(code) == "[]"
+    assert (tmp_path / "conv.csv").read_text().startswith("trial,group,t,")
 
 
 # ---------------------------------------------------------------------------
@@ -1232,10 +1282,19 @@ def test_csv_writer_matches_per_cell_formatting(data):
     )
     values = [data.draw(column(kind, n_rows)) for kind in kinds]
     columns = [f"c{i}" for i in range(len(kinds))]
+    # A `U` array would drop a cell's trailing NULs: the first text column with
+    # such a cell is refused by name, in any format.
+    short = [
+        name
+        for name, kind, cells in zip(columns, kinds, values)
+        if kind == "text" and any(s.endswith("\0") for s in cells)
+    ]
+    if short:
+        with pytest.raises(CapacityError, match=f"^column '{short[0]}' has a text cell ending"):
+            _table(columns, values)
+        return
     rows = _table(columns, values)
-    assert len(rows) == n_rows
-    # A `U` array drops each cell's trailing NULs.
-    values = [[c.rstrip("\0") for c in v] if k == "text" else v for k, v in zip(kinds, values)]
+    assert len(rows) == n_rows and rows.names == tuple(columns)
     # A NUL the array holds would go with the padding, and a lone surrogate has
     # no UTF-8 bytes: the first text column holding either is refused by name.
     refused = [
@@ -1342,15 +1401,16 @@ def test_csv_writer_edge_cells_across_two_block_edges():
 
 
 def _reference_jsonable(obj):
-    """JSON values of a document, one Python dict per row of a record array and
+    """JSON values of a document, one Python dict per row of a column table and
     None for a non-finite float."""
+    if isinstance(obj, _Table):
+        rows = zip(*(obj[name].tolist() for name in obj.names))
+        return [_reference_jsonable(dict(zip(obj.names, row))) for row in rows]
     if isinstance(obj, dict):
         return {k: _reference_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_reference_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        if obj.dtype.names:
-            return [_reference_jsonable(dict(zip(obj.dtype.names, row))) for row in obj.tolist()]
         return [_reference_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -1370,18 +1430,19 @@ def _reference_json_text(doc):
 
 
 # Field names that sort out of order and that JSON escapes, next to strings
-# and non-finite floats that look like the writer's stand-in for a record array.
+# and non-finite floats that look like the writer's stand-in for a column table.
 _FIELD_NAMES = ["b", "a", 'q"t', "é", "\u2603", "back\\slash", "tab\tstop", "NaN"]
 
 
 def _json_doc(rows, depth):
     """A document holding ``rows`` at ``depth``: the whole document, a dict
-    value, or in a list inside a dict, next to its first row."""
+    value, or in a list inside a dict, next to a table of its first row."""
     if depth == 0:
         return rows
     if depth == 1:
         return {"states": rows, "NaN": "NaN", "a": [math.nan, "x,\nNaN"], "z": -math.inf}
-    return {"N": 3, "runs": [rows, "NaN", math.nan, {"NaN": None}, rows[:1]], "NaN": [math.nan]}
+    head = _table(rows.names, [rows[name][:1] for name in rows.names])
+    return {"N": 3, "runs": [rows, "NaN", math.nan, {"NaN": None}, head], "NaN": [math.nan]}
 
 
 @settings(max_examples=30, deadline=None)
@@ -1390,8 +1451,14 @@ def test_json_writer_matches_the_reference_at_any_depth(data):
     n_rows = data.draw(st.sampled_from([0, 1, 2 * _BLOCK_ROWS + 3]))
     names = data.draw(st.lists(st.sampled_from(_FIELD_NAMES), min_size=1, max_size=4, unique=True))
     kinds = [data.draw(st.sampled_from(["text"] + _DTYPES + _POOLED)) for _ in names]
-    rows = _table(names, [data.draw(column(kind, n_rows)) for kind in kinds])
-    assert rows.dtype.names == tuple(names)
+    values = [data.draw(column(kind, n_rows)) for kind in kinds]
+    # A `U` array would drop a cell's trailing NULs, so such a cell is refused.
+    if any(kind == "text" and any(s.endswith("\0") for s in v) for kind, v in zip(kinds, values)):
+        with pytest.raises(CapacityError, match="has a text cell ending in NUL"):
+            _table(names, values)
+        return
+    rows = _table(names, values)
+    assert rows.names == tuple(names) and len(rows) == n_rows
     doc = _json_doc(rows, data.draw(st.sampled_from([0, 1, 2])))
     text, reference = _json_text(doc), _reference_json_text(doc)
     if text != reference:  # shown from the first difference: a diff of whole texts takes minutes
@@ -1422,8 +1489,13 @@ def test_every_runner_writes_only_typed_columns(command, flags):
     rows, _, _ = _TABLE[command].runner(
         loads_config(json.dumps(doc)), _Flags(**{**defaults, **flags})
     )
-    kinds = {name: rows[name].dtype.kind for name in rows.dtype.names}
+    kinds = {name: rows[name].dtype.kind for name in rows.names}
     assert set(kinds.values()) <= set(_CELL["csv"]) == set(_CELL["json"]), kinds
+    for name in rows.names:
+        assert rows[name].ndim == 1 and rows[name].flags.c_contiguous, name
+        assert len(rows[name]) == len(rows), name
+    if command == "convergence":  # the index columns in the smallest unsigned type
+        assert [rows[name].dtype for name in ("trial", "group", "t")] == [np.uint8] * 3
 
 
 def test_convergence_artifacts_match_row_by_row_reference(tmp_path):

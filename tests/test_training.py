@@ -104,7 +104,8 @@ def test_perturb_flips_deterministically_at_single_source():
 
 
 class _ShortBatches:
-    """A generator whose ``geometric`` returns at most ``batch`` draws per call."""
+    """A generator whose ``geometric`` and ``standard_exponential`` return at
+    most ``batch`` draws per call."""
 
     def __init__(self, gen, batch):
         self.gen, self.batch, self.calls = gen, batch, 0
@@ -112,6 +113,10 @@ class _ShortBatches:
     def geometric(self, p, size):
         self.calls += 1
         return self.gen.geometric(p, min(size, self.batch))
+
+    def standard_exponential(self, size):
+        self.calls += 1
+        return self.gen.standard_exponential(min(size, self.batch))
 
 
 def test_flip_cells_refill_matches_one_long_draw():
@@ -134,7 +139,22 @@ def test_flip_cells_refill_with_unit_gaps_flips_every_cell():
         def geometric(self, p, size):
             return np.ones(size, dtype=np.int64)
 
+        def standard_exponential(self, size):  # ceil(E / -log1p(-p)) = 1
+            return np.full(size, 1e-12)
+
     assert np.array_equal(_flip_cells(UnitGaps(), 100, 1000), np.arange(100))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 400])
+def test_flip_cells_are_the_cumulative_geometric_gaps(n):
+    # Below p = 1/3 the gaps come from exponential draws, from p = 1/3 on from
+    # gen.geometric; either way they are numpy's geometric(1/n) draws, bit for bit.
+    n_cells = 4000 * n
+    cells = _flip_cells(RandomStream(21, "gaps").generator(), n_cells, n)
+    gaps = RandomStream(21, "gaps").generator().geometric(1.0 / n, 8000)
+    pos = np.cumsum(gaps) - 1
+    assert pos[-1] >= n_cells
+    assert np.array_equal(cells, pos[pos < n_cells])
 
 
 def test_perturb_applies_flip_rule_elementwise():

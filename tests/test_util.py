@@ -1,3 +1,4 @@
+import concurrent.futures
 import operator
 
 import pytest
@@ -37,7 +38,8 @@ class _RecordingPool:
 )
 def test_map_chunks_caps_pool_size(monkeypatch, cpus, workers, n_tasks, pool):
     monkeypatch.setattr(util.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(util, "ProcessPoolExecutor", _RecordingPool)
+    # map_chunks imports the pool class from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     _RecordingPool.sizes = []
     tasks = [(i, 10 * i) for i in range(n_tasks)]
     assert map_chunks(operator.add, tasks, workers) == [11 * i for i in range(n_tasks)]
