@@ -76,11 +76,12 @@ from .config import NetworkConfig
 from .errors import CapacityError, ConfigError, FeedbeamError
 from .markov import STATE_LIMIT, build_markov, gain_moments_exact, one_step_absorb_probability
 from .outage import WEIGHTS_MODES, OutageResult, ProbeRow
-from .outage import check_outage_bytes, estimate_outage, interference_scaling_probe
+from .outage import estimate_outage, interference_scaling_probe, plan_outage
 from .protocol import ProtocolReport, compare_protocols, estimate_interference_power
+from .protocol import plan_interference_power
 from .rng import RandomStream
-from .training import check_chunk_bytes, ensemble_gain_stats, run_convergence
-from .util import CHUNK_BYTES_LIMIT
+from .training import ensemble_gain_stats, run_convergence
+from .util import check_bytes
 
 __all__ = [
     "COMMANDS", "FORMATS", "SIGMA_SOURCES", "ExperimentSpec",
@@ -595,11 +596,10 @@ def _cmd_bounds(spec: ExperimentSpec, flags: _Flags) -> _Result:
 def _cmd_outage(spec: ExperimentSpec, flags: _Flags) -> _Result:
     cfg = spec.config
     points = [cfg.replace(N=n) for n in _n_values(spec)]
-    # Every point's bound, and so its feasibility, and its chunk size are settled
-    # before any Monte Carlo runs, for the networks and cross draws of estimate_outage.
+    # Every point's bound, and so its feasibility, and its plan are settled before any draw.
     rates = [outage_bound(p.N, p).rate for p in points]
     for p in points:
-        check_outage_bytes(p, flags.mode)
+        plan_outage(p, flags.mode)
     results = [
         estimate_outage(
             p, rate, flags.mode, RandomStream(cfg.seed, f"outage/N/{p.N}"), workers=flags.workers
@@ -639,15 +639,11 @@ def _cmd_protocol_compare(spec: ExperimentSpec, flags: _Flags) -> _Result:
     if cfg.M < 2:
         raise ConfigError("protocol-compare requires M >= 2")
     monte_carlo = flags.sigma_source == "monte-carlo"
-    if monte_carlo:
-        # Every point's chunk size is settled before any Monte Carlo runs, for
-        # the groups 0 .. M-2 that estimate_interference_power trains.
+    if monte_carlo:  # every point is planned before any Monte Carlo runs
         for n in _n_values(spec):
-            check_chunk_bytes(cfg.replace(N=n), range(cfg.M - 1))
-    elif cfg.M * 8 > CHUNK_BYTES_LIMIT:  # the analytic sigma_per_link holds one double per link
-        raise CapacityError(
-            f"sigma_per_link at M={cfg.M} takes {cfg.M * 8} bytes, over {CHUNK_BYTES_LIMIT}"
-        )
+            plan_interference_power(cfg.replace(N=n))
+    else:  # the analytic sigma_per_link holds one double per link
+        check_bytes(cfg.M * 8, f"sigma_per_link at M={cfg.M} takes")
     rate_assumed = 1.0  # the ordering of the two protocols does not depend on R
     docs, summary = [], []
     for n in _n_values(spec):

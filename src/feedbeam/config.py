@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -71,6 +72,8 @@ class NetworkConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if name != "seed" and value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.T_f > sys.float_info.max:  # N_o / T_f is the level estimate's variance
+            raise ConfigError(f"T_f is too large for a float, got {self.T_f.bit_length()} bits")
         for name in _REAL_FIELDS:
             value = getattr(self, name)
             # Compared, not converted, so that an int beyond float range cannot overflow.
@@ -79,6 +82,13 @@ class NetworkConfig:
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
             if name != "epsilon_o" and not value > 0:
                 raise ConfigError(f"{name} must be > 0, got {value!r}")
+        # A block is k_o * N frames. N is compared first, so that it is never
+        # converted to a float beyond float range.
+        if self.N > sys.float_info.max or math.isinf(self.k_o * self.N):
+            raise ConfigError(
+                f"k_o * N is too large for a float, got k_o={self.k_o!r} and an N of "
+                f"{self.N.bit_length()} bits"
+            )
         if not 0.0 <= self.epsilon_o < 1.0:
             raise ConfigError(f"epsilon_o must be in [0, 1), got {self.epsilon_o!r}")
         if self.estimation_mode not in ESTIMATION_MODES:

@@ -12,7 +12,8 @@ Outage draws only what link 0's SINR depends on: its own link from one-group
 ``training.network_chunk`` networks (group 0 trained in trained mode) and
 M-1 interfering amplitudes from their exact N(0, N) law under
 ``chunk/{c}/cross``, where the probe draws its cross channels too. SINR
-comes from link amplitudes by one formula, ``_link_sinr``.
+comes from link amplitudes by one formula, ``_link_sinr``. ``plan_outage``
+refuses an outage run before any draw, and the probe plans every N first.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import numpy as np
 from .bounds import outage_bound, q_inverse
 from .channel import ChannelRealization, link_amplitudes
 from .config import NetworkConfig
-from .errors import CapacityError, ConfigError, DimensionError, DomainError, InfeasibleEpsilonError
+from .errors import ConfigError, DimensionError, DomainError, InfeasibleEpsilonError
 from .rng import RandomStream
-from .training import EnsembleResult, check_chunk_bytes, map_networks
-from .util import CHUNK_BYTES_LIMIT, TRAJ_CHUNK, TRIAL_CHUNK
+from .training import EnsembleResult, map_networks, plan_networks
+from .util import check_bytes
 
 __all__ = [
     "WEIGHTS_MODES",
@@ -42,7 +43,8 @@ __all__ = [
     "interference_scaling_probe",
 ]
 
-WEIGHTS_MODES = ("trained", "idealized")
+_MODE_GROUPS = {"trained": (0,), "idealized": ()}  # the groups each weights mode trains
+WEIGHTS_MODES = tuple(_MODE_GROUPS)
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,6 @@ def _link_sinr(c: np.ndarray, i: int, config: NetworkConfig) -> np.ndarray:
 
 def _outage_count(
     rate: float,
-    mode: str,
     M: int,
     config: NetworkConfig,
     h: np.ndarray,
@@ -110,10 +111,10 @@ def _outage_count(
 ) -> int:
     """Trials of one chunk of one-group networks whose link 0, among M groups, is in outage.
 
-    In idealized mode the chunk trains nothing, so ``h`` comes as row blocks
+    A chunk that trains nothing (idealized weights) gets ``h`` as row blocks
     (see ``training.network_chunk``), each reduced to its own-link amplitudes in place.
     """
-    if mode == "idealized":
+    if not trained:
         k = config.reverse_count
         # A uniform k-subset of the iid |h_j|, chosen apart from h, has the law of the first k.
         s = np.concatenate([_idealized_amplitude(block[:, 0, 0, :], k) for block in h])
@@ -128,22 +129,15 @@ def _outage_count(
     return int(np.count_nonzero(_link_sinr(c, 0, config) < threshold))
 
 
-def check_outage_bytes(config: NetworkConfig, mode: str) -> None:
-    """Refuse an ``estimate_outage`` run whose largest chunk passes CHUNK_BYTES_LIMIT.
-
-    Besides its one-group networks (see ``check_chunk_bytes``), a chunk
-    draws (trials in the chunk, M - 1) interfering amplitudes under
-    ``cross``; both count. Draws nothing.
-    """
-    groups = () if mode == "idealized" else (0,)
-    check_chunk_bytes(config.replace(M=1), groups)
-    largest = min(TRIAL_CHUNK if groups else TRAJ_CHUNK, config.trials)
-    nbytes = largest * (config.M - 1) * 8
-    if nbytes > CHUNK_BYTES_LIMIT:
-        raise CapacityError(
-            f"a chunk's cross channels at M={config.M} take {nbytes} bytes, "
-            f"over {CHUNK_BYTES_LIMIT}"
-        )
+def plan_outage(config: NetworkConfig, mode: str) -> list[int]:
+    """The chunk sizes of an ``estimate_outage`` run, refused before any draw:
+    its one-group networks (``training.plan_networks``) and, per chunk,
+    (trials in the chunk, M - 1) interfering amplitudes under ``cross``."""
+    if mode not in WEIGHTS_MODES:
+        raise ConfigError(f"weights mode must be one of {WEIGHTS_MODES}, got {mode!r}")
+    sizes = plan_networks(config.replace(M=1), _MODE_GROUPS[mode])
+    check_bytes(sizes[0] * (config.M - 1) * 8, f"a chunk's cross channels at M={config.M} take")
+    return sizes
 
 
 def _idealized_amplitude(h: np.ndarray, k: int) -> np.ndarray:
@@ -288,16 +282,9 @@ def estimate_outage(
     """
     if not rate > 0:
         raise DomainError(f"rate must be > 0, got {rate!r}")
-    if mode not in WEIGHTS_MODES:
-        raise ConfigError(f"weights mode must be one of {WEIGHTS_MODES}, got {mode!r}")
-    check_outage_bytes(config, mode)
-    parts = map_networks(
-        partial(_outage_count, rate, mode, config.M),
-        config.replace(M=1),
-        stream,
-        () if mode == "idealized" else [0],
-        workers,
-    )
+    plan_outage(config, mode)
+    count_chunk = partial(_outage_count, rate, config.M)
+    parts = map_networks(count_chunk, config.replace(M=1), stream, _MODE_GROUPS[mode], workers)
     count = sum(parts)
     p_hat = count / config.trials
     ci_low, ci_high = clopper_pearson(count, config.trials)
@@ -373,8 +360,8 @@ def interference_scaling_probe(
     if len(set(N_list)) < len(N_list):
         raise ConfigError(f"N_list entries must be distinct, got {list(N_list)!r}")
     points = [config.replace(M=1, N=int(n)) for n in N_list]
-    for cfg in points:  # every chunk size is settled before any draw
-        check_chunk_bytes(cfg, [0])
+    for cfg in points:  # every point is planned before any draw
+        plan_networks(cfg, [0])
     rows = []
     for cfg in points:
         parts = map_networks(_probe_sums, cfg, stream.child(f"N/{cfg.N}"), [0], workers)

@@ -11,7 +11,8 @@ sigma_I^2 grows like (i-1) P, this fails at any reasonable SNR.
 
 sigma_I^2 at destination i is (P/N) sum_{r<i} c[i, r]^2 over the link
 amplitudes of ``channel.link_amplitudes``; the Monte Carlo estimate trains
-groups 0 .. M-2 of networks drawn by ``training.network_chunk``.
+groups 0 .. M-2 of networks drawn by ``training.network_chunk``, and
+``plan_interference_power`` refuses its run before any draw.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .channel import ChannelRealization, link_amplitudes
 from .config import NetworkConfig
 from .errors import DimensionError, DomainError, StateError
 from .rng import RandomStream
-from .training import EnsembleResult, map_networks
+from .training import EnsembleResult, map_networks, plan_networks
 
 __all__ = [
     "ProtocolReport",
@@ -125,6 +126,18 @@ def _interference_sums(
     return np.array([_prior_interference(c, i, config) for i in range(config.M)])
 
 
+def _interferers(config: NetworkConfig) -> range:
+    """Groups 0 .. M-2: only they ever interfere with a later group's training."""
+    if config.M < 2:
+        raise DomainError("interference estimation requires M >= 2")
+    return range(config.M - 1)
+
+
+def plan_interference_power(config: NetworkConfig) -> list[int]:
+    """``training.plan_networks`` of an ``estimate_interference_power`` run."""
+    return plan_networks(config, _interferers(config))
+
+
 def estimate_interference_power(
     config: NetworkConfig, stream: RandomStream, workers: int = 1
 ) -> np.ndarray:
@@ -132,8 +145,5 @@ def estimate_interference_power(
 
     Entry i is the Monte Carlo sigma_I^2 at destination i; entry 0 is 0.
     """
-    if config.M < 2:
-        raise DomainError("interference estimation requires M >= 2")
-    # Only groups 0 .. M-2 ever interfere with a later group's training.
-    parts = map_networks(_interference_sums, config, stream, range(config.M - 1), workers)
+    parts = map_networks(_interference_sums, config, stream, _interferers(config), workers)
     return np.sum(parts, axis=0) / config.trials

@@ -26,10 +26,11 @@ negates it in place at accepted cells, so a frame is a few numpy calls on
 O(B + flips) elements, and the weights are read from its signs at the end.
 The exact Markov chain in ``markov`` is the independent check of this law.
 
-Monte Carlo runs over random networks share one chunk primitive,
-``network_chunk``, with a reducer per command; a chunk that trains no group
-draws its channels in row blocks of one small buffer. ``ensemble_gain_stats``
-draws no networks and keeps its own chunk.
+Monte Carlo runs over random networks share one plan, ``plan_networks``,
+which sizes their chunks and refuses a run before any draw, and one chunk
+primitive, ``network_chunk``, with a reducer per command; a chunk that trains
+no group draws its channels in row blocks of one small buffer.
+``ensemble_gain_stats`` draws no networks and keeps its own chunk.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .config import NetworkConfig
-from .errors import CapacityError, ConfigError, DimensionError
+from .errors import ConfigError, DimensionError
 from .rng import RandomStream
-from .util import CHUNK_BYTES_LIMIT, TRAJ_CHUNK, TRIAL_CHUNK, chunk_sizes, map_chunks
+from .util import TRAJ_CHUNK, TRIAL_CHUNK, check_bytes, chunk_sizes, map_chunks
 
 __all__ = [
     "TrainingTrace",
@@ -347,25 +348,26 @@ def network_chunk(
     return reduce(config, h, trained, sub)
 
 
-def check_chunk_bytes(
+def plan_networks(
     config: NetworkConfig, groups: Sequence[int], record_trace: bool = False
-) -> None:
-    """Refuse a run of ``map_networks`` whose largest chunk passes CHUNK_BYTES_LIMIT.
+) -> list[int]:
+    """The chunk sizes that ``map_networks`` runs, refused before any draw.
 
-    A chunk counts its whole channel tensor, drawn at once or in row blocks,
-    and, with ``record_trace``, its trained groups' traces. Draws nothing, so
-    a caller can settle every point of a sweep before any Monte Carlo runs.
+    Trials that train a group take TRIAL_CHUNK per chunk, others TRAJ_CHUNK,
+    and ``chunk_sizes`` refuses too many chunks. The largest chunk's channels,
+    (size, M, M, N) doubles, and with ``record_trace`` its traces, 13 bytes per
+    trained group, trial and frame, take at most CHUNK_BYTES_LIMIT together.
+    Not counted: training's copy ``S = H.copy()`` of each trained group's
+    links, and the probe's cross draw, which has the shape of the channels.
     """
     chunk = TRIAL_CHUNK if groups else TRAJ_CHUNK
     largest = min(chunk, config.trials)
-    nbytes = largest * config.M**2 * config.N * 8  # one chunk's channels
-    if record_trace:  # and its gain (f8), aligned count (i4) and accepted flag (b1) per frame
+    nbytes = largest * config.M**2 * config.N * 8
+    if record_trace:
         nbytes += largest * len(groups) * config.block_frames * 13
-    if nbytes > CHUNK_BYTES_LIMIT:
-        raise CapacityError(
-            f"a chunk's {'channels and traces' if record_trace else 'channels'} at N={config.N} "
-            f"take {nbytes} bytes, over {CHUNK_BYTES_LIMIT}"
-        )
+    what = "channels and traces" if record_trace else "channels"
+    check_bytes(nbytes, f"a chunk's {what} at N={config.N} take")
+    return chunk_sizes(config.trials, chunk)
 
 
 def map_networks(
@@ -378,20 +380,17 @@ def map_networks(
 ) -> list:
     """``network_chunk`` over ``config.trials`` networks, one result per chunk.
 
-    A trial that trains a group runs a training block, so those runs take
-    TRIAL_CHUNK trials per chunk and draw each chunk's channels at once; one
-    that trains none is a cheap evaluation, so those take TRAJ_CHUNK and
-    draw them in row blocks. ``check_chunk_bytes`` refuses a run first.
+    The chunks are those of ``plan_networks``, which refuses a run first. A
+    chunk that trains a group draws its channels at once, one that trains
+    none draws them in row blocks.
 
     ``reduce`` must be picklable (a module-level function or a partial of
     one) so that chunks can run on a process pool.
     """
     groups = tuple(groups)
-    check_chunk_bytes(config, groups, record_trace)
-    chunk = TRIAL_CHUNK if groups else TRAJ_CHUNK
     tasks = [
         (reduce, config, stream, c, size, groups, record_trace)
-        for c, size in enumerate(chunk_sizes(config.trials, chunk))
+        for c, size in enumerate(plan_networks(config, groups, record_trace))
     ]
     return map_chunks(network_chunk, tasks, workers)
 

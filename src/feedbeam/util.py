@@ -15,18 +15,18 @@ from .errors import CapacityError
 
 __all__ = [
     "TRIAL_CHUNK", "TRAJ_CHUNK", "CHUNK_BYTES_LIMIT", "CHUNK_COUNT_LIMIT", "chunk_sizes",
-    "map_chunks",
+    "check_bytes", "map_chunks",
 ]
 
 # Heavy per-trial work (full training runs) vs light per-trial work
 # (one SINR evaluation, one short trajectory).
 TRIAL_CHUNK = 256
 TRAJ_CHUNK = 16384
-# Bytes of the largest channel tensor one chunk may draw, at once or in row
-# blocks: a larger run is refused before any draw instead of failing in numpy
-# or exhausting memory. The largest tensor of the tests and the benchmark,
-# 16384 x 200 doubles (26 MB), belongs to an idealized outage chunk, which
-# trains nothing and so draws it in row blocks of at most 1 MiB.
+# Bytes of the largest array one run may hold, such as a chunk's channel
+# tensor drawn at once or in row blocks: a larger run is refused before any
+# draw (``check_bytes``) instead of failing in numpy or exhausting memory. The
+# largest tensor of the tests and the benchmark, 16384 x 200 doubles (26 MB),
+# belongs to an idealized outage chunk, drawn in row blocks of at most 1 MiB.
 CHUNK_BYTES_LIMIT = 2**31
 # Most chunks one run may take. Every chunk is listed before any runs, so a
 # trial count far beyond any feasible run (2^62) would build a list of 2^48
@@ -47,6 +47,12 @@ def chunk_sizes(n_items: int, chunk: int) -> list[int]:
     if full + bool(rest) > CHUNK_COUNT_LIMIT:
         raise CapacityError(f"{n_items} trials take over {CHUNK_COUNT_LIMIT} chunks of {chunk}")
     return [chunk] * full + ([rest] if rest else [])
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """Refuse ``nbytes`` over CHUNK_BYTES_LIMIT; ``what`` names them and their verb."""
+    if nbytes > CHUNK_BYTES_LIMIT:
+        raise CapacityError(f"{what} {nbytes} bytes, over {CHUNK_BYTES_LIMIT}")
 
 
 def map_chunks(worker: Callable[..., T], tasks: Sequence[tuple], workers: int = 1) -> list[T]:

@@ -184,7 +184,8 @@ _VALID_FIELDS = {
     "seed": st.integers(-(2**64), 2**64),
     "P": _POSITIVE,
     "N_o": _POSITIVE,
-    "k_o": _POSITIVE,
+    # k_o * N must be a finite float for every N drawn.
+    "k_o": st.floats(min_value=0.0, max_value=sys.float_info.max / 2**40, exclude_min=True),
     "delta": _POSITIVE,
     "estimation_mode": st.sampled_from(ESTIMATION_MODES),
 }
@@ -227,12 +228,13 @@ _BAD_POSITIVE = (
 _INVALID_FIELDS = {
     "M": _BAD_INT,
     "N": _BAD_INT,
-    "T_f": _BAD_INT,
+    "T_f": _BAD_INT | st.integers(min_value=int(sys.float_info.max) + 1),
     "trials": _BAD_INT,
     "seed": _OTHER_TYPES | st.floats(),
     "P": _BAD_POSITIVE,
     "N_o": _BAD_POSITIVE,
-    "k_o": _BAD_POSITIVE,
+    # base_doc has N = 100, so k_o * N leaves the float range.
+    "k_o": _BAD_POSITIVE | st.floats(min_value=sys.float_info.max / 50, allow_infinity=False),
     "delta": _BAD_POSITIVE,
     "epsilon_o": (
         _OTHER_TYPES | _NOT_FINITE | st.floats(min_value=1.0) | st.floats(max_value=-1e-300)
@@ -513,8 +515,9 @@ def test_huge_monte_carlo_is_refused_before_any_draw(tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize(
     "command, extra",
-    [("outage", []), ("convergence", []), ("markov-verify", ["--channel", "0.5,-1.2,2.0,0.1"])],
-    ids=["outage", "convergence", "markov-verify"],
+    [("outage", []), ("convergence", []), ("markov-verify", ["--channel", "0.5,-1.2,2.0,0.1"]),
+     ("interference-probe", []), ("protocol-compare", [])],
+    ids=["outage", "convergence", "markov-verify", "interference-probe", "protocol-compare"],
 )
 def test_huge_trial_count_is_refused_before_any_draw(
     tmp_path, monkeypatch, capsys, command, extra
@@ -536,16 +539,51 @@ def test_huge_trial_count_is_refused_before_any_draw(
 
 
 @pytest.mark.parametrize(
-    "command, N, chunk_bytes",
+    "command, extra",
+    [("convergence", []), ("interference-probe", []), ("protocol-compare", []),
+     ("outage", ["--mode", "trained"]), ("markov-verify", ["--channel", "0.5,-1.2,2.0,0.1"])],
+    ids=["convergence", "interference-probe", "protocol-compare", "outage-trained",
+         "markov-verify"],
+)
+@pytest.mark.parametrize(
+    "overrides, message",
     [
-        ("outage", 2**53, 2000 * 2**53 * 8),
-        ("interference-probe", 2**62, TRIAL_CHUNK * 2**62 * 8),
-        ("protocol-compare", 2**62, TRIAL_CHUNK * 4 * 2**62 * 8),
+        (dict(k_o=1e308, N=10), "k_o * N is too large for a float, got k_o=1e+308 and an N of "),
+        (dict(N=2**1100), "k_o * N is too large for a float, got k_o=10.0 and an N of 1101 bits"),
+        (dict(T_f=10**400), "T_f is too large for a float, got 1329 bits"),
     ],
-    ids=["outage", "interference-probe", "protocol-compare"],
+    ids=["k_o", "N", "T_f"],
+)
+def test_config_beyond_float_range_is_refused_before_any_draw(
+    tmp_path, monkeypatch, capsys, command, extra, overrides, message
+):
+    def no_draw(self):
+        raise AssertionError("a generator was created")
+
+    monkeypatch.setattr(feedbeam.rng.RandomStream, "generator", no_draw)
+    monkeypatch.chdir(tmp_path)
+    doc = base_doc(**{"M": 2, "N": 4 if command == "markov-verify" else 50, **overrides})
+    doc["command"] = command
+    assert main(["--config", write_doc(tmp_path, doc), *extra]) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "invalid-config"
+    assert err["message"].startswith(message)
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+@pytest.mark.parametrize(
+    "command, extra, N, chunk_bytes",
+    [
+        ("outage", [], 2**53, 2000 * 2**53 * 8),
+        ("outage", ["--mode", "trained"], 2**53, TRIAL_CHUNK * 2**53 * 8),
+        ("interference-probe", [], 2**62, TRIAL_CHUNK * 2**62 * 8),
+        ("protocol-compare", [], 2**62, TRIAL_CHUNK * 4 * 2**62 * 8),
+    ],
+    ids=["outage", "outage-trained", "interference-probe", "protocol-compare"],
 )
 def test_huge_sweep_point_is_refused_before_any_draw(
-    tmp_path, monkeypatch, capsys, command, N, chunk_bytes
+    tmp_path, monkeypatch, capsys, command, extra, N, chunk_bytes
 ):
     # Every point's chunk size is settled before the Monte Carlo of the first point.
     calls = []
@@ -560,7 +598,7 @@ def test_huge_sweep_point_is_refused_before_any_draw(
     doc = base_doc(M=2, N=50, epsilon_o=0.05, trials=2000)
     doc["command"] = command
     doc["sweep"] = [50, N]
-    assert main(["--config", write_doc(tmp_path, doc)]) == EXIT_CONFIG
+    assert main(["--config", write_doc(tmp_path, doc), *extra]) == EXIT_CONFIG
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line) == {
         "error": "invalid-config",

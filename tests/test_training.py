@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import feedbeam.training
+import feedbeam.util
 from feedbeam import (
     CapacityError,
     ChannelRealization,
@@ -21,7 +22,7 @@ from feedbeam import (
     train_group,
     train_network,
 )
-from feedbeam.training import FLIP_BLOCK, _flip_cells, map_networks
+from feedbeam.training import FLIP_BLOCK, _flip_cells, map_networks, plan_networks
 from feedbeam.util import TRAJ_CHUNK, TRIAL_CHUNK
 
 
@@ -566,24 +567,43 @@ def test_map_networks_chunk_size_follows_training(make_config):
     # Runs that train a group take TRIAL_CHUNK trials per chunk, others TRAJ_CHUNK.
     cfg = make_config(M=1, N=2, k_o=1.0, trials=TRIAL_CHUNK + 1)
     stream = RandomStream(cfg.seed, "chunks")
-    assert map_networks(_chunk_trials, cfg, stream, [0]) == [TRIAL_CHUNK, 1]
+    assert map_networks(_chunk_trials, cfg, stream, [0]) == plan_networks(cfg, [0])
+    assert plan_networks(cfg, [0]) == [TRIAL_CHUNK, 1]
     assert TRAJ_CHUNK > cfg.trials
-    assert map_networks(_chunk_trials, cfg, stream, ()) == [cfg.trials]
+    assert map_networks(_chunk_trials, cfg, stream, ()) == plan_networks(cfg, ()) == [cfg.trials]
+
+
+def _spy_chunk_sizes(monkeypatch):
+    """The chunk sizes of the tasks of each `map_chunks` call that `map_networks` makes."""
+    calls = []
+    map_chunks = feedbeam.training.map_chunks
+
+    def spy(worker, tasks, workers=1):
+        calls.append([task[4] for task in tasks])  # (reduce, config, stream, c, size, ...)
+        return map_chunks(worker, tasks, workers)
+
+    monkeypatch.setattr(feedbeam.training, "map_chunks", spy)
+    return calls
 
 
 @pytest.mark.parametrize("groups", [[0], ()], ids=["trained", "untrained"])
 def test_map_networks_refuses_a_chunk_over_the_byte_limit(make_config, monkeypatch, groups):
     # A chunk of 3 networks at M = 2, N = 5 draws 3 * 2 * 2 * 5 doubles.
-    monkeypatch.setattr(feedbeam.training, "CHUNK_BYTES_LIMIT", 3 * 2 * 2 * 5 * 8)
+    monkeypatch.setattr(feedbeam.util, "CHUNK_BYTES_LIMIT", 3 * 2 * 2 * 5 * 8)
+    sizes = _spy_chunk_sizes(monkeypatch)
     stream = RandomStream(1, "cap")
     cfg = make_config(M=2, N=5, k_o=1.0, trials=3)
     assert map_networks(_chunk_trials, cfg, stream, groups) == [3]
+    assert sizes == [plan_networks(cfg, groups)] == [[3]]
     with pytest.raises(CapacityError, match="N=6 take 576 bytes, over 480"):
         map_networks(_chunk_trials, cfg.replace(N=6), stream, groups)
+    with pytest.raises(CapacityError, match="N=6 take 576 bytes, over 480"):
+        plan_networks(cfg.replace(N=6), groups)
     # The first chunk is the largest, so more trials than one chunk holds are refused too.
     more = cfg.replace(trials=max(TRIAL_CHUNK, TRAJ_CHUNK) + 1)
     with pytest.raises(CapacityError):
         map_networks(_chunk_trials, more, stream, groups)
+    assert sizes == [[3]]
 
 
 def test_map_networks_counts_trace_bytes_against_the_limit(make_config, monkeypatch):
@@ -591,9 +611,12 @@ def test_map_networks_counts_trace_bytes_against_the_limit(make_config, monkeypa
     # 3 trials x 2 groups x 5 frames on top of the channels' 480 bytes.
     cfg = make_config(M=2, N=5, k_o=1.0, trials=3)
     stream = RandomStream(1, "cap")
-    monkeypatch.setattr(feedbeam.training, "CHUNK_BYTES_LIMIT", 480 + 3 * 2 * 5 * 13)
+    sizes = _spy_chunk_sizes(monkeypatch)
+    monkeypatch.setattr(feedbeam.util, "CHUNK_BYTES_LIMIT", 480 + 3 * 2 * 5 * 13)
     assert map_networks(_chunk_trials, cfg, stream, [0, 1], record_trace=True) == [3]
-    monkeypatch.setattr(feedbeam.training, "CHUNK_BYTES_LIMIT", 480 + 3 * 2 * 5 * 13 - 1)
+    assert sizes == [plan_networks(cfg, [0, 1], record_trace=True)] == [[3]]
+    monkeypatch.setattr(feedbeam.util, "CHUNK_BYTES_LIMIT", 480 + 3 * 2 * 5 * 13 - 1)
     with pytest.raises(CapacityError, match="channels and traces at N=5 take 870 bytes"):
         map_networks(_chunk_trials, cfg, stream, [0, 1], record_trace=True)
     assert map_networks(_chunk_trials, cfg, stream, [0, 1]) == [3]
+    assert sizes == [[3], plan_networks(cfg, [0, 1])] == [[3], [3]]
