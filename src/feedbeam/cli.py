@@ -560,7 +560,9 @@ def _cmd_markov_verify(spec: ExperimentSpec, flags: _Flags) -> _Result:
     sim_mean = ensemble_gain_stats(
         h, t_checks, cfg, RandomStream(cfg.seed, "markov/sim"), workers=flags.workers
     )
-    worst = float(np.max(np.abs(sim_mean - exact) / np.maximum(errs, 1e-300)))
+    # An absorbing start has std 0: floor it at the rounding of a mean, as criterion 2 does.
+    floor = 1e-12 * (1.0 + np.abs(exact))
+    worst = float(np.max(np.abs(sim_mean - exact) / np.maximum(errs, floor)))
     summary = [
         f"markov-verify N={cfg.N} states={model.n_states} "
         f"absorbing_code={model.absorbing_index} max_dev={worst:.2f} stderr units "

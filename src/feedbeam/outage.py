@@ -8,11 +8,11 @@ the closed-form bound, and probes how the interference power scales with N.
 Two weight modes are supported: ``trained`` runs the actual training
 algorithm, ``idealized`` starts from sign(h) with exactly round(epsilon_o * N)
 uniformly chosen sources reversed per group, the premise of the bound.
-Outage draws only what link 0's SINR depends on: its own link from one-group
-``training.network_chunk`` networks (group 0 trained in trained mode) and
-M-1 interfering amplitudes from their exact N(0, N) law under
-``chunk/{c}/cross``, where the probe draws its cross channels too. SINR
-comes from link amplitudes by one formula, ``_link_sinr``. ``plan_outage``
+Outage reduces each trial to link 0's two sufficient statistics: its own
+amplitude s, from one-group ``training.network_chunk`` networks (group 0
+trained in trained mode), and its interference power y, one N * chi^2_{M-1}
+draw per trial under ``chunk/{c}/cross``, where the probe draws its cross
+channels too. SINR comes from them by one formula, ``_sinr``. ``plan_outage``
 refuses an outage run before any draw, and the probe plans every N first.
 """
 
@@ -30,7 +30,6 @@ from .config import NetworkConfig
 from .errors import ConfigError, DimensionError, DomainError, InfeasibleEpsilonError
 from .rng import RandomStream
 from .training import EnsembleResult, map_networks, plan_networks
-from .util import check_bytes
 
 __all__ = [
     "WEIGHTS_MODES",
@@ -90,15 +89,15 @@ def sinr(
         raise DimensionError("weights entries must be exactly -1 or +1")
     if not 0 <= i < config.M:
         raise DimensionError(f"link index {i} out of range for M={config.M}")
-    return float(_link_sinr(link_amplitudes(channels.h[i : i + 1], w)[0], i, config))
+    c = link_amplitudes(channels.h[i : i + 1], w)[0]
+    return float(_sinr(c[i], np.sum(c**2) - c[i] ** 2, config))
 
 
-def _link_sinr(c: np.ndarray, i: int, config: NetworkConfig) -> np.ndarray:
-    """SINR of link i from its amplitudes c[..., r] = h[i, r, :] . w[r] of every group r."""
+def _sinr(signal, interference, config: NetworkConfig):
+    """SINR from the signal amplitude and the interference power sum_{r != i} c_r^2,
+    with c_r = h[i, r, :] . w[r] the amplitude of group r at destination i."""
     scale = config.P / config.N
-    signal = scale * c[..., i] ** 2
-    interference = scale * (np.sum(c**2, axis=-1) - c[..., i] ** 2)
-    return signal / (interference + config.N_o)
+    return scale * signal**2 / (scale * interference + config.N_o)
 
 
 def _outage_count(
@@ -119,25 +118,24 @@ def _outage_count(
         # A uniform k-subset of the iid |h_j|, chosen apart from h, has the law of the first k.
         s = np.concatenate([_idealized_amplitude(block[:, 0, 0, :], k) for block in h])
     else:
-        s = link_amplitudes(h, trained[0].weights[:, np.newaxis])[:, 0, 0]
+        s = trained[0].final_gain
     # Group r's weights depend only on h[r, r, :] and its own training, both
     # independent of h[0, r, :], and negating N(0, 1) entries keeps them N(0, 1):
-    # so c[0, r] = h[0, r, :] . w[r] is N(0, N) for r != 0, iid and apart from s.
-    cross = math.sqrt(config.N) * sub.child("cross").generator().standard_normal((s.size, M - 1))
-    c = np.concatenate((s[:, np.newaxis], cross), axis=1)
+    # so c[0, r] = h[0, r, :] . w[r] is N(0, N) for r != 0, iid and apart from s,
+    # and y = sum_{r != 0} c[0, r]^2 is N chi^2_{M-1}, a gamma((M - 1) / 2, 2N) draw.
+    # Shape 0 (M = 1) gives exact zeros, where chisquare would refuse df = 0.
+    gen = sub.child("cross").generator()
+    y = 2.0 * config.N * gen.standard_gamma((M - 1) / 2.0, s.size)
     threshold = 2.0 ** (2.0 * rate) - 1.0
-    return int(np.count_nonzero(_link_sinr(c, 0, config) < threshold))
+    return int(np.count_nonzero(_sinr(s, y, config) < threshold))
 
 
 def plan_outage(config: NetworkConfig, mode: str) -> list[int]:
     """The chunk sizes of an ``estimate_outage`` run, refused before any draw:
-    its one-group networks (``training.plan_networks``) and, per chunk,
-    (trials in the chunk, M - 1) interfering amplitudes under ``cross``."""
+    its one-group networks (``training.plan_networks``)."""
     if mode not in WEIGHTS_MODES:
         raise ConfigError(f"weights mode must be one of {WEIGHTS_MODES}, got {mode!r}")
-    sizes = plan_networks(config.replace(M=1), _MODE_GROUPS[mode])
-    check_bytes(sizes[0] * (config.M - 1) * 8, f"a chunk's cross channels at M={config.M} take")
-    return sizes
+    return plan_networks(config.replace(M=1), _MODE_GROUPS[mode])
 
 
 def _idealized_amplitude(h: np.ndarray, k: int) -> np.ndarray:
@@ -275,10 +273,10 @@ def estimate_outage(
 ) -> OutageResult:
     """Estimate P((1/2) log2(1 + SINR) < rate) over ``config.trials`` draws.
 
-    By link symmetry only link 0 is evaluated, from its own link and M-1
-    interfering amplitudes (see ``_outage_count``). The matching finite-N and
-    asymptotic bounds are attached when ``outage_bound`` admits the
-    configuration, NaN otherwise.
+    By link symmetry only link 0 is evaluated, from its own amplitude and one
+    interference power draw per trial (see ``_outage_count``). The matching
+    finite-N and asymptotic bounds are attached when ``outage_bound`` admits
+    the configuration, NaN otherwise.
     """
     if not rate > 0:
         raise DomainError(f"rate must be > 0, got {rate!r}")

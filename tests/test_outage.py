@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feedbeam import (
-    CapacityError,
     ChannelRealization,
     ConfigError,
     DimensionError,
@@ -25,7 +24,7 @@ from feedbeam import (
 from feedbeam.bounds import q_inverse
 from feedbeam.channel import link_amplitudes
 from feedbeam.cli import _json_text
-from feedbeam.outage import _idealized_amplitude, _link_sinr, clopper_pearson
+from feedbeam.outage import _idealized_amplitude, clopper_pearson
 from feedbeam.util import TRAJ_CHUNK
 
 
@@ -234,11 +233,13 @@ def _reference_outage_count(cfg, rate, mode, stream):
         ("idealized", 2, 20, 0.4, 0.1),
         ("trained", 3, 50, 0.05, 1.4),
         ("trained", 4, 60, 0.05, 1.2),
+        # One interferer: numpy draws gamma shape 1/2 by another algorithm than shape >= 1.
+        ("trained", 2, 50, 0.05, 1.4),
     ],
 )
 def test_outage_matches_full_network_reference(make_config, mode, M, N, epsilon_o, rate):
-    # The estimator draws only link 0's own link and M-1 N(0, N) interfering
-    # amplitudes; the reference draws and trains every group of the network.
+    # The estimator draws only link 0's own link and its N chi^2_{M-1} interference
+    # power; the reference draws and trains every group of the network.
     cfg = make_config(M=M, N=N, P=4.0, epsilon_o=epsilon_o, trials=4000, seed=41)
     est = estimate_outage(cfg, rate, mode, RandomStream(cfg.seed, "outage"))
     ref = _reference_outage_count(cfg, rate, mode, RandomStream(cfg.seed, "reference")) / cfg.trials
@@ -297,11 +298,12 @@ def test_trained_mode_and_all_links(make_config):
 
 
 @pytest.mark.parametrize("mode", ["idealized", "trained"])
-def test_estimate_outage_refuses_huge_m_cross_draws(make_config, mode):
-    # A chunk of 200 trials would draw 200 x (2^40 - 1) interfering amplitudes.
+def test_estimate_outage_runs_at_huge_m(make_config, mode):
+    # 2^40 - 1 interferers are one gamma draw per trial, not a (200, 2^40 - 1) tensor.
     cfg = make_config(M=2**40, N=200, epsilon_o=0.05, trials=200)
-    with pytest.raises(CapacityError, match="cross channels at M=1099511627776"):
-        estimate_outage(cfg, 0.5, mode, RandomStream(cfg.seed, "outage"))
+    res = estimate_outage(cfg, 0.5, mode, RandomStream(cfg.seed, "outage"))
+    assert res.M == 2**40 and res.trials == 200
+    assert 0.0 <= res.outage_empirical <= 1.0
 
 
 def test_outage_keeps_nan_bounds_beyond_float_range(make_config):
@@ -347,8 +349,9 @@ def _whole_chunk_idealized(cfg, rate, stream, c, size):
     h = sub.child("channels").generator().standard_normal((size, 1, 1, cfg.N))
     a = np.abs(h[:, 0, 0, :])
     s = a.sum(axis=1) - 2.0 * a[:, : cfg.reverse_count].sum(axis=1)
-    cross = math.sqrt(cfg.N) * sub.child("cross").generator().standard_normal((size, cfg.M - 1))
-    sinr_0 = _link_sinr(np.concatenate((s[:, np.newaxis], cross), axis=1), 0, cfg)
+    y = 2.0 * cfg.N * sub.child("cross").generator().standard_gamma((cfg.M - 1) / 2.0, size)
+    scale = cfg.P / cfg.N
+    sinr_0 = scale * s**2 / (scale * y + cfg.N_o)
     return s, int(np.count_nonzero(sinr_0 < 2.0 ** (2.0 * rate) - 1.0))
 
 
@@ -400,6 +403,19 @@ def test_idealized_outage_memory_does_not_scale_with_the_chunk(make_config):
     tracemalloc.start()
     try:
         estimate_outage(cfg, 0.7, "idealized", RandomStream(cfg.seed, "memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_idealized_outage_memory_does_not_scale_with_m(make_config):
+    # 800 interferers of a 16384-trial chunk as amplitudes would take 105 MB;
+    # one interference power draw per trial takes 131 kB.
+    cfg = make_config(M=801, N=50, epsilon_o=0.05, trials=TRAJ_CHUNK, seed=1)
+    tracemalloc.start()
+    try:
+        estimate_outage(cfg, 0.01, "idealized", RandomStream(cfg.seed, "memory"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
