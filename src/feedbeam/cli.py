@@ -52,8 +52,8 @@ escapes both. A text cell that ends in NUL is refused in both formats, since
 a numpy text column cannot hold it. The columns of a per-N command are the
 fields of its result dataclass, in field order, and named extras: ``slope``
 after ``ProbeRow``, ``N`` and ``M`` before ``ProtocolReport`` and
-``sigma_source`` and ``rate_assumed`` after it. JSON rows add ``link``
-(outage) and ``sigma_per_link``; the probe's JSON is its ``ProbeResult``.
+``rate_assumed`` after it. JSON rows of ``outage`` add ``link``; the
+probe's JSON is its ``ProbeResult``.
 """
 
 from __future__ import annotations
@@ -77,20 +77,16 @@ from .errors import CapacityError, ConfigError, FeedbeamError
 from .markov import STATE_LIMIT, build_markov, gain_moments_exact, one_step_absorb_probability
 from .outage import WEIGHTS_MODES, OutageResult, ProbeRow
 from .outage import estimate_outage, interference_scaling_probe, plan_outage
-from .protocol import ProtocolReport, compare_protocols, estimate_interference_power
-from .protocol import plan_interference_power
+from .protocol import ProtocolReport, compare_protocols, expected_interference_power
 from .rng import RandomStream
 from .training import ensemble_gain_stats, run_convergence
-from .util import check_bytes
 
 __all__ = [
-    "COMMANDS", "FORMATS", "SIGMA_SOURCES", "ExperimentSpec",
+    "COMMANDS", "FORMATS", "ExperimentSpec",
     "load_config", "loads_config", "serialize", "run", "main",
 ]
 
 FORMATS = ("csv", "json")
-# Where protocol-compare takes sigma_I^2 from: trained networks, or i * P for link i.
-SIGMA_SOURCES = ("monte-carlo", "analytic")
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -478,7 +474,6 @@ class _Flags:
 
     workers: int
     mode: str
-    sigma_source: str
     channel: np.ndarray | None
 
     def __post_init__(self) -> None:
@@ -486,10 +481,6 @@ class _Flags:
             raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
         if self.mode not in WEIGHTS_MODES:
             raise ConfigError(f"mode must be one of {WEIGHTS_MODES}, got {self.mode!r}")
-        if self.sigma_source not in SIGMA_SOURCES:
-            raise ConfigError(
-                f"sigma_source must be one of {SIGMA_SOURCES}, got {self.sigma_source!r}"
-            )
 
 
 def _n_values(spec: ExperimentSpec) -> list[int]:
@@ -637,45 +628,22 @@ def _cmd_interference_probe(spec: ExperimentSpec, flags: _Flags) -> _Result:
 
 
 def _cmd_protocol_compare(spec: ExperimentSpec, flags: _Flags) -> _Result:
-    cfg = spec.config
-    if cfg.M < 2:
+    if spec.config.M < 2:
         raise ConfigError("protocol-compare requires M >= 2")
-    monte_carlo = flags.sigma_source == "monte-carlo"
-    if monte_carlo:  # every point is planned before any Monte Carlo runs
-        for n in _n_values(spec):
-            plan_interference_power(cfg.replace(N=n))
-    else:  # the analytic sigma_per_link holds one double per link
-        check_bytes(cfg.M * 8, f"sigma_per_link at M={cfg.M} takes")
     rate_assumed = 1.0  # the ordering of the two protocols does not depend on R
     docs, summary = [], []
     for n in _n_values(spec):
-        cfg_n = cfg.replace(N=n)
-        if monte_carlo:
-            per_link = estimate_interference_power(
-                cfg_n, RandomStream(cfg.seed, f"protocol/N/{n}"), workers=flags.workers
-            )
-        else:
-            per_link = np.arange(cfg_n.M, dtype=float) * cfg_n.P  # i * P for link i
-        # Average over the links that see interference (i >= 1).
-        sigma = float(per_link[1:].mean())
-        report = compare_protocols(sigma, cfg_n, rate_assumed)
+        cfg_n = spec.config.replace(N=n)
+        report = compare_protocols(expected_interference_power(cfg_n), cfg_n, rate_assumed)
         docs.append(
-            {
-                **dataclasses.asdict(report),
-                "N": n,
-                "M": cfg_n.M,
-                "sigma_source": flags.sigma_source,
-                "sigma_per_link": per_link,
-                "rate_assumed": rate_assumed,
-            }
+            {**dataclasses.asdict(report), "N": n, "M": cfg_n.M, "rate_assumed": rate_assumed}
         )
         summary.append(
             f"protocol-compare N={n} M={cfg_n.M} sigma_I2={report.sigma_I2:.4f} "
             f"lhs={report.condition_lhs:.4f} rhs={report.condition_rhs:.4f} "
             f"modified_better={report.modified_better}"
         )
-    columns = ["N", "M", *_fields(ProtocolReport), "sigma_source", "rate_assumed"]
-    return _per_n(spec, columns, docs, summary)
+    return _per_n(spec, ["N", "M", *_fields(ProtocolReport), "rate_assumed"], docs, summary)
 
 
 class _Command(NamedTuple):
@@ -700,11 +668,10 @@ def run(
     spec: ExperimentSpec,
     workers: int = 1,
     mode: str = "idealized",
-    sigma_source: str = "monte-carlo",
     channel: np.ndarray | None = None,
 ) -> list[str]:
     """Execute a spec, write its artifact, return the summary lines."""
-    flags = _Flags(workers=workers, mode=mode, sigma_source=sigma_source, channel=channel)
+    flags = _Flags(workers=workers, mode=mode, channel=channel)
     spec = spec.resolved()
     rows, doc, summary = _TABLE[spec.command].runner(spec, flags)
     _atomic_write(spec.output_path, _json_text(doc) if spec.format == "json" else _csv_text(rows))
@@ -739,11 +706,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode",
         help=f"outage weights mode ({', '.join(WEIGHTS_MODES)}; default {default['mode']})",
-    )
-    p.add_argument(
-        "--sigma-source",
-        help=f"sigma_I^2 source for protocol-compare ({', '.join(SIGMA_SOURCES)}; "
-        f"default {default['sigma_source']})",
     )
     p.add_argument(
         "--channel",

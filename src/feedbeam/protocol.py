@@ -10,9 +10,8 @@ overlapped protocol wins iff sigma_I^2 / N_o < 1 - 2/(M+1); since
 sigma_I^2 grows like (i-1) P, this fails at any reasonable SNR.
 
 sigma_I^2 at destination i is (P/N) sum_{r<i} c[i, r]^2 over the link
-amplitudes of ``channel.link_amplitudes``; the Monte Carlo estimate trains
-groups 0 .. M-2 of networks drawn by ``training.network_chunk``, and
-``plan_interference_power`` refuses its run before any draw.
+amplitudes of ``channel.link_amplitudes``. Its mean has a closed form,
+``expected_interference_power``, so the comparison draws nothing.
 """
 
 from __future__ import annotations
@@ -24,15 +23,13 @@ import numpy as np
 from .channel import ChannelRealization, link_amplitudes
 from .config import NetworkConfig
 from .errors import DimensionError, DomainError, StateError
-from .rng import RandomStream
-from .training import EnsembleResult, map_networks, plan_networks
 
 __all__ = [
     "ProtocolReport",
     "interference_power",
     "frame_ratio",
     "compare_protocols",
-    "estimate_interference_power",
+    "expected_interference_power",
 ]
 
 
@@ -73,13 +70,22 @@ def interference_power(
             f"weights for the {i} prior group(s) are missing: need shape (>= {i}, {config.N}), "
             f"got {w.shape}"
         )
-    c = link_amplitudes(channels.h[np.newaxis], w[np.newaxis, :i])
-    return _prior_interference(c, i, config)
+    c = link_amplitudes(channels.h, w[:i])
+    return config.P / config.N * float(np.sum(c[i] ** 2))
 
 
-def _prior_interference(c: np.ndarray, i: int, config: NetworkConfig) -> float:
-    """(P/N) sum over the batch and the groups r < i of c[:, i, r]^2."""
-    return config.P / config.N * float(np.sum(c[:, i, :i] ** 2))
+def expected_interference_power(config: NetworkConfig) -> float:
+    """Mean sigma_I^2 over the links 1 .. M-1 that see interference: P M / 2.
+
+    Group r trains on its own links h[r, r, :] alone, so its weights w_r are
+    independent of every cross link h[i, r, :], i != r, and each amplitude
+    c[i, r] = h[i, r, :] . w_r of +-1 weights is N(0, N). Link i's sigma_I^2 =
+    (P/N) sum_{r<i} c[i, r]^2 then has mean exactly i P, and the mean of i P
+    over i = 1 .. M-1 is P M / 2.
+    """
+    if config.M < 2:
+        raise DomainError("interference power requires M >= 2")
+    return config.P * config.M / 2.0
 
 
 def frame_ratio(sigma_I2: float, N_o: float) -> float:
@@ -117,33 +123,3 @@ def compare_protocols(sigma_I2: float, config: NetworkConfig, R: float) -> Proto
         bits_modified=float(bits_modified),
         bits_original=float(bits_original),
     )
-
-
-def _interference_sums(
-    config: NetworkConfig, h: np.ndarray, trained: list[EnsembleResult], sub: RandomStream
-) -> np.ndarray:
-    c = link_amplitudes(h, np.stack([res.weights for res in trained], axis=1))
-    return np.array([_prior_interference(c, i, config) for i in range(config.M)])
-
-
-def _interferers(config: NetworkConfig) -> range:
-    """Groups 0 .. M-2: only they ever interfere with a later group's training."""
-    if config.M < 2:
-        raise DomainError("interference estimation requires M >= 2")
-    return range(config.M - 1)
-
-
-def plan_interference_power(config: NetworkConfig) -> list[int]:
-    """``training.plan_networks`` of an ``estimate_interference_power`` run."""
-    return plan_networks(config, _interferers(config))
-
-
-def estimate_interference_power(
-    config: NetworkConfig, stream: RandomStream, workers: int = 1
-) -> np.ndarray:
-    """Train groups over ``config.trials`` networks and average sigma_I^2 per link.
-
-    Entry i is the Monte Carlo sigma_I^2 at destination i; entry 0 is 0.
-    """
-    parts = map_networks(_interference_sums, config, stream, _interferers(config), workers)
-    return np.sum(parts, axis=0) / config.trials

@@ -479,9 +479,14 @@ def ensemble_gain_stats(
     returns its sums, divided once by ``config.trials``. Used to check the
     simulator against the exact chain, whose own standard deviation gives
     the tolerance: the sample one collapses once every trajectory is absorbed.
+    An empty ``t_list`` or a negative frame is refused before any draw.
     """
     h = np.asarray(h, dtype=float)
     tl = tuple(int(t) for t in t_list)
+    if not tl:
+        raise ConfigError("t_list must name at least one frame")
+    if min(tl) < 0:
+        raise ConfigError(f"t must be >= 0, got {min(tl)}")
     tasks = [
         (h, config, stream, c, size, tl)
         for c, size in enumerate(chunk_sizes(config.trials, TRAJ_CHUNK))

@@ -36,7 +36,6 @@ from feedbeam.cli import (
     EXIT_UNKNOWN_COMMAND,
     EXIT_UNWRITABLE,
     FORMATS,
-    SIGMA_SOURCES,
     ExperimentSpec,
     _atomic_write,
     _csv_text,
@@ -305,11 +304,10 @@ def test_spec_built_in_code_equals_spec_from_file():
         (dict(format="xml"), {}),
         (dict(output_path=5), {}),
         (dict(sweep=(True, 60)), {}),
-        ({}, dict(sigma_source="bogus")),
         ({}, dict(mode="bogus")),
         ({}, dict(workers=True)),
     ],
-    ids=["format", "output_path", "sweep", "sigma_source", "mode", "workers"],
+    ids=["format", "output_path", "sweep", "mode", "workers"],
 )
 def test_library_run_checks_spec_and_flags(tmp_path, monkeypatch, spec_changes, flags):
     monkeypatch.chdir(tmp_path)
@@ -492,9 +490,8 @@ def test_markov_verify_refuses_huge_n_before_drawing(tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize(
     "command, N",
-    [("convergence", 2**62), ("interference-probe", 2**62), ("protocol-compare", 2**62),
-     ("outage", 2**53)],
-    ids=["convergence", "interference-probe", "protocol-compare", "outage"],
+    [("convergence", 2**62), ("interference-probe", 2**62), ("outage", 2**53)],
+    ids=["convergence", "interference-probe", "outage"],
 )
 def test_huge_monte_carlo_is_refused_before_any_draw(tmp_path, monkeypatch, capsys, command, N):
     # N = 2^53 is the largest N that `outage_bound` admits.
@@ -516,8 +513,8 @@ def test_huge_monte_carlo_is_refused_before_any_draw(tmp_path, monkeypatch, caps
 @pytest.mark.parametrize(
     "command, extra",
     [("outage", []), ("convergence", []), ("markov-verify", ["--channel", "0.5,-1.2,2.0,0.1"]),
-     ("interference-probe", []), ("protocol-compare", [])],
-    ids=["outage", "convergence", "markov-verify", "interference-probe", "protocol-compare"],
+     ("interference-probe", [])],
+    ids=["outage", "convergence", "markov-verify", "interference-probe"],
 )
 def test_huge_trial_count_is_refused_before_any_draw(
     tmp_path, monkeypatch, capsys, command, extra
@@ -536,6 +533,19 @@ def test_huge_trial_count_is_refused_before_any_draw(
     assert err["error"] == "invalid-config"
     assert err["message"].startswith(f"{2**62} trials take over 65536 chunks of ")
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+def test_protocol_compare_ignores_trials_and_draws_nothing(tmp_path, monkeypatch):
+    # sigma_I^2 is its closed form P M / 2, so 2^62 trials cost nothing.
+    def no_draw(self):
+        raise AssertionError("a generator was created")
+
+    monkeypatch.setattr(feedbeam.rng.RandomStream, "generator", no_draw)
+    doc = base_doc(M=2, N=50, P=10.0, trials=2**62)
+    doc["command"] = "protocol-compare"
+    out = tmp_path / "protocol.json"
+    assert main(["--config", write_doc(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["sigma_I2"] == 10.0
 
 
 @pytest.mark.parametrize(
@@ -578,9 +588,8 @@ def test_config_beyond_float_range_is_refused_before_any_draw(
         ("outage", [], 2**53, 2000 * 2**53 * 8),
         ("outage", ["--mode", "trained"], 2**53, TRIAL_CHUNK * 2**53 * 8),
         ("interference-probe", [], 2**62, TRIAL_CHUNK * 2**62 * 8),
-        ("protocol-compare", [], 2**62, TRIAL_CHUNK * 4 * 2**62 * 8),
     ],
-    ids=["outage", "outage-trained", "interference-probe", "protocol-compare"],
+    ids=["outage", "outage-trained", "interference-probe"],
 )
 def test_huge_sweep_point_is_refused_before_any_draw(
     tmp_path, monkeypatch, capsys, command, extra, N, chunk_bytes
@@ -608,26 +617,30 @@ def test_huge_sweep_point_is_refused_before_any_draw(
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
-def test_analytic_protocol_compare_refuses_huge_m_before_any_allocation(tmp_path, capsys):
-    # sigma_per_link holds one double per link: 2^40 links are 8 TiB.
+def test_protocol_compare_runs_at_huge_m_in_little_memory(tmp_path, capsys):
+    # sigma_I^2 is P M / 2 with no per-link array: one double per link of 2^40
+    # links would be 8 TiB.
     M = 2**40
-    doc = base_doc(M=M, N=50, epsilon_o=0.05)
+    doc = base_doc(M=M, N=50, P=100.0, epsilon_o=0.05)
     doc["command"] = "protocol-compare"
-    out = tmp_path / "p.json"
-    tracemalloc.start()
-    try:
-        code = main(["--config", write_doc(tmp_path, doc), "--sigma-source", "analytic",
-                     "--out", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == EXIT_CONFIG
-    assert json.loads(capsys.readouterr().err) == {
-        "error": "invalid-config",
-        "message": f"sigma_per_link at M={M} takes {8 * M} bytes, over {2**31}",
-    }
-    assert peak < 2**20
-    assert not out.exists()
+    path = write_doc(tmp_path, doc)
+    for fmt in FORMATS:
+        out = tmp_path / f"p.{fmt}"
+        tracemalloc.start()
+        try:
+            code = main(["--config", path, "--format", fmt, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK, capsys.readouterr().err
+        if fmt == "csv":
+            header, row = out.read_text().splitlines()
+            report = dict(zip(header.split(","), row.split(",")))
+            assert (report["M"], float(report["sigma_I2"])) == (str(M), 100.0 * M / 2)
+        else:
+            report = json.loads(out.read_text())
+            assert (report["M"], report["sigma_I2"]) == (M, 100.0 * M / 2)
+        assert peak < 2**20, fmt
 
 
 @pytest.mark.parametrize("mode", ["idealized", "trained"])
@@ -673,13 +686,13 @@ def test_convergence_refuses_traces_over_the_chunk_byte_limit(tmp_path, monkeypa
 
 
 def test_csv_refuses_a_column_beyond_64_bit_integers(tmp_path, capsys):
-    # The analytic protocol comparison draws nothing, so any N reaches the writer.
+    # The protocol comparison draws nothing, so any N reaches the writer.
     N = 2**90
     doc = base_doc(M=3, N=N, epsilon_o=0.05)
     doc["command"] = "protocol-compare"
     path = write_doc(tmp_path, doc)
     csv_out, json_out = tmp_path / "p.csv", tmp_path / "p.json"
-    flags = ["--config", path, "--sigma-source", "analytic"]
+    flags = ["--config", path]
     assert main([*flags, "--format", "csv", "--out", str(csv_out)]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "invalid-config", "message": "column 'N' has no CSV cell type: object"}
@@ -777,7 +790,8 @@ def test_nonpositive_workers_exit_code(tmp_path, capsys, workers):
         (["--bogus", "1"], ["--bogus"]),
         (["--format", "xml"], ["format", "'xml'"]),
         (["--mode", "bogus"], ["mode", "'bogus'"]),
-        (["--sigma-source", "nope"], ["sigma_source", "'nope'"]),
+        # An option that no longer exists is an unknown flag.
+        (["--sigma-source", "analytic"], ["unrecognized arguments: --sigma-source"]),
         (["--workers", "abc"], ["--workers", "'abc'"]),
         (["--seed", "x"], ["--seed", "'x'"]),
         (["--form", "json"], ["--form"]),
@@ -808,7 +822,7 @@ def test_help_lists_allowed_values_and_exits_zero(monkeypatch, capsys):
         main(["--help"])
     assert exit_info.value.code == 0
     text = capsys.readouterr().out
-    for values in (COMMANDS, FORMATS, WEIGHTS_MODES, SIGMA_SOURCES):
+    for values in (COMMANDS, FORMATS, WEIGHTS_MODES):
         assert ", ".join(values) in text
 
 
@@ -821,7 +835,6 @@ _GOOD_FLAGS = {
     "--workers": ["1", "2"],
     "--seed": ["0", "7", "-1"],
     "--mode": ["idealized", "trained"],
-    "--sigma-source": ["monte-carlo", "analytic"],
     # Parsed, then refused by markov-verify unless it holds N nonzero entries.
     "--channel": ["1,2", ",".join(map(str, range(1, 11))), ",".join(map(str, range(10)))],
 }
@@ -831,7 +844,6 @@ _BAD_FLAGS = {
     "--workers": ["0", "-3", "abc"],
     "--seed": ["x"],
     "--mode": ["bogus"],
-    "--sigma-source": ["nope"],
     "--channel": ["1,x"],
     "--bogus": ["1"],
 }
@@ -1125,13 +1137,12 @@ def test_protocol_compare_json(tmp_path):
     out = str(tmp_path / "protocol.json")
     assert main(["--config", path, "--out", out]) == EXIT_OK
     report = json.loads(open(out).read())
-    assert report["sigma_source"] == "monte-carlo"
+    assert sorted(report) == sorted(
+        ["N", "M", "sigma_I2", "frame_ratio", "condition_lhs", "condition_rhs",
+         "modified_better", "bits_modified", "bits_original", "rate_assumed"]
+    )
+    assert report["sigma_I2"] == 10.0 * 4 / 2  # P * M / 2
     assert report["modified_better"] is False
-    assert len(report["sigma_per_link"]) == 4
-    out2 = str(tmp_path / "protocol2.json")
-    assert main(["--config", path, "--out", out2, "--sigma-source", "analytic"]) == EXIT_OK
-    analytic = json.loads(open(out2).read())
-    assert analytic["sigma_I2"] == pytest.approx(10.0 * 4 / 2)  # P * M / 2
 
 
 def test_protocol_compare_csv_columns(tmp_path):
@@ -1139,22 +1150,20 @@ def test_protocol_compare_csv_columns(tmp_path):
     doc["command"] = "protocol-compare"
     doc["sweep"] = [32, 64]
     out = tmp_path / "protocol.csv"
-    flags = ["--out", str(out), "--format", "csv", "--sigma-source", "analytic"]
+    flags = ["--out", str(out), "--format", "csv"]
     assert main(["--config", write_doc(tmp_path, doc), *flags]) == EXIT_OK
     lines = out.read_text().splitlines()
     assert lines[0] == (
         "N,M,sigma_I2,frame_ratio,condition_lhs,condition_rhs,modified_better,"
-        "bits_modified,bits_original,sigma_source,rate_assumed"
+        "bits_modified,bits_original,rate_assumed"
     )
     rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
-    assert [(r["N"], r["M"], r["sigma_source"]) for r in rows] == [
-        ("32", "3", "analytic"), ("64", "3", "analytic")
-    ]
+    assert [(r["N"], r["M"], r["sigma_I2"]) for r in rows] == [("32", "3", "15"), ("64", "3", "15")]
     assert [r["modified_better"] for r in rows] == ["0", "0"]
 
 
 # Every Monte Carlo command, each with more than one chunk so that two
-# workers really split the work.
+# workers really split the work, and protocol-compare, which draws nothing.
 _REPRODUCIBLE = {
     "convergence": (dict(M=2, N=10, trials=300, k_o=4.0), []),
     "outage-idealized": (dict(M=2, N=50, epsilon_o=0.05, trials=20_000), []),
@@ -1190,7 +1199,6 @@ _TWO_CHUNKS = {
     "outage-idealized": (dict(M=2, N=50, trials=TRAJ_CHUNK + 1), dict(mode="idealized")),
     "outage-trained": (dict(M=2, N=50, trials=TRIAL_CHUNK + 1), dict(mode="trained")),
     "interference-probe": (dict(N=6, trials=TRIAL_CHUNK + 1), {}),
-    "protocol-compare": (dict(M=2, N=6, trials=TRIAL_CHUNK + 1), {}),
 }
 
 
@@ -1516,7 +1524,7 @@ _RUNNER_CASES = {
     "bounds": ("bounds", {}),
     **{f"outage-{mode}": ("outage", {"mode": mode}) for mode in WEIGHTS_MODES},
     "interference-probe": ("interference-probe", {}),
-    **{f"protocol-{src}": ("protocol-compare", {"sigma_source": src}) for src in SIGMA_SOURCES},
+    "protocol-compare": ("protocol-compare", {}),
 }
 
 
@@ -1528,7 +1536,7 @@ def test_every_runner_writes_only_typed_columns(command, flags):
         doc["config"]["N"] = 5
     elif _TABLE[command].sweepable:
         doc["sweep"] = [50, 60]
-    defaults = dict(workers=1, mode="idealized", sigma_source="monte-carlo", channel=None)
+    defaults = dict(workers=1, mode="idealized", channel=None)
     rows, _, _ = _TABLE[command].runner(
         loads_config(json.dumps(doc)), _Flags(**{**defaults, **flags})
     )

@@ -7,9 +7,10 @@ from feedbeam import (
     RandomStream,
     StateError,
     compare_protocols,
-    estimate_interference_power,
+    expected_interference_power,
     frame_ratio,
     interference_power,
+    train_ensemble,
 )
 
 
@@ -70,27 +71,48 @@ def test_condition_matches_throughput_on_random_grid(make_config):
         assert (rep.frame_ratio == 1.0) == (sigma == 0.0)
 
 
-def test_interference_grows_linearly_with_prior_groups(make_config):
+def test_expected_interference_power_is_p_m_over_2(make_config):
+    assert expected_interference_power(make_config(M=2, P=2.5)) == 2.5
+    assert expected_interference_power(make_config(M=4, P=10.0)) == 20.0
+    # The mean of i * P over the links i = 1 .. M-1 that see interference.
+    for M, P in [(3, 0.1), (7, 1e-3), (12, 3.3)]:
+        cfg = make_config(M=M, P=P)
+        assert expected_interference_power(cfg) == pytest.approx(np.arange(1, M).mean() * P)
+    with pytest.raises(DomainError):
+        expected_interference_power(make_config(M=1))
+
+
+def test_reference_matches_interference_power_of_each_network(make_config, mc_interference_power):
+    # The batched Monte Carlo reference, trial by trial, is the single-network API.
+    cfg = make_config(M=3, N=16, P=2.0, k_o=2.0, trials=3, seed=5)
+    stream = RandomStream(cfg.seed, "reference")
+    ref = mc_interference_power(cfg, stream)
+    h = stream.child("channels").generator().standard_normal((cfg.trials, cfg.M, cfg.M, cfg.N))
+    w = np.stack(
+        [train_ensemble(h[:, r, r, :], cfg, stream.child(f"train/group/{r}")).weights
+         for r in range(cfg.M - 1)],
+        axis=1,
+    )
+    for t in range(cfg.trials):
+        got = [interference_power(ChannelRealization(h[t]), w[t], i, cfg) for i in range(cfg.M)]
+        assert got == pytest.approx(ref[t], rel=1e-12)
+
+
+def test_interference_grows_linearly_with_prior_groups(make_config, mc_interference_power):
     cfg = make_config(M=4, N=64, P=2.5, k_o=5.0, trials=512, seed=7)
-    est = estimate_interference_power(cfg, RandomStream(cfg.seed, "protocol"))
+    est = mc_interference_power(cfg, RandomStream(cfg.seed, "protocol")).mean(axis=0)
     assert est.shape == (cfg.M,)
     assert est[0] == 0.0
     slope = np.polyfit(np.arange(cfg.M), est, 1)[0]
     assert abs(slope - cfg.P) / cfg.P < 0.15
 
 
-def test_interference_estimate_worker_independence(make_config):
-    cfg = make_config(M=2, N=16, k_o=4.0, trials=600, seed=11)
-    a = estimate_interference_power(cfg, RandomStream(cfg.seed, "protocol"), workers=1)
-    b = estimate_interference_power(cfg, RandomStream(cfg.seed, "protocol"), workers=2)
-    assert np.array_equal(a, b)
-
-
-def test_sequential_protocol_wins_at_reasonable_snr(make_config):
+def test_sequential_protocol_wins_at_reasonable_snr(make_config, mc_interference_power):
     # SNR = P/N_o = 10 dB; sigma_I^2 ~ (#prior groups) * P swamps the
     # condition threshold, so overlapping training with data never pays.
     cfg = make_config(M=4, N=64, P=10.0, N_o=1.0, k_o=5.0, trials=256, seed=13)
-    est = estimate_interference_power(cfg, RandomStream(cfg.seed, "protocol"))
-    rep = compare_protocols(est[1:].mean(), cfg, 1.0)
-    assert rep.condition_lhs > rep.condition_rhs
-    assert not rep.modified_better
+    est = mc_interference_power(cfg, RandomStream(cfg.seed, "protocol")).mean(axis=0)
+    for sigma in (est[1:].mean(), expected_interference_power(cfg)):
+        rep = compare_protocols(sigma, cfg, 1.0)
+        assert rep.condition_lhs > rep.condition_rhs
+        assert not rep.modified_better

@@ -1,4 +1,5 @@
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
@@ -12,10 +13,12 @@ import feedbeam.util
 from feedbeam import (
     CapacityError,
     ChannelRealization,
+    ConfigError,
     DimensionError,
     NetworkConfig,
     RandomStream,
     abs_moment,
+    ensemble_gain_stats,
     run_convergence,
     run_group_final_gains,
     train_ensemble,
@@ -620,3 +623,22 @@ def test_map_networks_counts_trace_bytes_against_the_limit(make_config, monkeypa
         map_networks(_chunk_trials, cfg, stream, [0, 1], record_trace=True)
     assert map_networks(_chunk_trials, cfg, stream, [0, 1]) == [3]
     assert sizes == [[3], plan_networks(cfg, [0, 1])] == [[3], [3]]
+
+
+@pytest.mark.parametrize(
+    "t_list, message",
+    [([], "t_list must name at least one frame"), ([-1, 5], "t must be >= 0, got -1"),
+     ([2, -3], "t must be >= 0, got -3")],
+    ids=["empty", "negative-first", "negative-last"],
+)
+def test_ensemble_gain_stats_refuses_bad_frames_before_any_draw(
+    make_config, monkeypatch, t_list, message
+):
+    # Frame -1 once read the last recorded frame, and [] reached max() of nothing.
+    def no_draw(self):
+        raise AssertionError("a generator was created")
+
+    monkeypatch.setattr(RandomStream, "generator", no_draw)
+    cfg = make_config(N=4, trials=8)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ensemble_gain_stats(np.ones(4), t_list, cfg, RandomStream(cfg.seed, "mc"))
