@@ -15,12 +15,14 @@ sorted by gain the transition matrix is upper triangular. Distributions
 come from one forward pass over the states in ascending gain and hitting
 times from one back-substitution in descending gain, both exact and both
 the same for every N up to 14. They gather accepted moves one block of
-states at a time and never hold the 4^N matrix. The dense matrix is kept
-on the model for N <= 10 only, for inspection.
+states at a time and never hold the 4^N matrix. For N <= 10 the model
+also offers the dense matrix for inspection; it is built on first read
+and kept, so a model that only feeds the analyses never builds it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,7 +59,8 @@ class MarkovModel:
 
     ``gains[s]`` is h . alpha(s) for state code s, ``absorbing_index`` the
     code of sign(h). ``transition`` is the dense row-stochastic matrix for
-    N <= 10 and None above; the analyses gather accepted moves themselves.
+    N <= 10 and None above, built on first read and kept; the analyses
+    gather accepted moves themselves and never read it.
     """
 
     N: int
@@ -65,7 +68,17 @@ class MarkovModel:
     gains: np.ndarray
     absorbing_index: int
     mask_prob: np.ndarray
-    transition: np.ndarray | None
+
+    @functools.cached_property
+    def transition(self) -> np.ndarray | None:
+        if self.N > DENSE_STATE_LIMIT:
+            return None
+        codes = np.arange(self.n_states)
+        transition = _accepted(self.gains, self.mask_prob, codes, codes)
+        # Rejected proposals stay put. No move leaves the maximal gain, so
+        # the absorbing row is the exact unit vector.
+        transition[codes, codes] = 1.0 - transition.sum(axis=1)
+        return transition
 
     @property
     def n_states(self) -> int:
@@ -77,10 +90,10 @@ class MarkovModel:
         return (1 << self.N) - 1
 
 
-def _state_signs(n: int) -> np.ndarray:
+def _state_bits(n: int) -> np.ndarray:
+    """Bit j of every code s in row s: the flips of mask s, the +1s of state s."""
     codes = np.arange(1 << n)
-    bits = (codes[:, np.newaxis] >> np.arange(n)) & 1
-    return 2.0 * bits - 1.0
+    return (codes[:, np.newaxis] >> np.arange(n)) & 1
 
 
 def _accepted(
@@ -112,34 +125,18 @@ def build_markov(h: np.ndarray) -> MarkovModel:
     if np.any(h == 0.0):
         raise DegenerateChannelError("channel entries must be nonzero (sign would be degenerate)")
 
-    signs = _state_signs(n)
+    bits = _state_bits(n)
     with np.errstate(over="ignore"):
-        gains = signs @ h
+        gains = (2.0 * bits - 1.0) @ h
     if not np.all(np.isfinite(gains)):
         raise DegenerateChannelError("state gains overflow the float range")
     bits_pos = (h > 0).astype(np.int64)
     absorbing = int((bits_pos << np.arange(n)).sum())
 
     p = 1.0 / n
-    counts = np.array([bin(m).count("1") for m in range(1 << n)])
+    counts = bits.sum(axis=1)
     mask_prob = p**counts * (1.0 - p) ** (n - counts)
-
-    transition = None
-    if n <= DENSE_STATE_LIMIT:
-        codes = np.arange(1 << n)
-        transition = _accepted(gains, mask_prob, codes, codes)
-        # Rejected proposals stay put. No move leaves the maximal gain, so
-        # the absorbing row is the exact unit vector.
-        transition[codes, codes] = 1.0 - transition.sum(axis=1)
-
-    return MarkovModel(
-        N=n,
-        h=h,
-        gains=gains,
-        absorbing_index=absorbing,
-        mask_prob=mask_prob,
-        transition=transition,
-    )
+    return MarkovModel(N=n, h=h, gains=gains, absorbing_index=absorbing, mask_prob=mask_prob)
 
 
 def gain_distribution(model: MarkovModel, t: int) -> np.ndarray:

@@ -664,6 +664,23 @@ def test_outage_runs_at_huge_m_in_little_memory(tmp_path, capsys, mode):
     assert peak < 8 * 2**20
 
 
+def test_markov_verify_at_the_dense_limit_runs_in_little_memory(tmp_path):
+    # The dense 4^N matrix (16 MiB at N = 10) is built only when read, and
+    # markov-verify never reads it.
+    doc = {"command": "markov-verify", **base_doc(M=1, N=10, trials=5000)}
+    doc["output_path"] = str(tmp_path / "markov.json")
+    doc["format"] = "json"
+    spec = loads_config(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        run(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads((tmp_path / "markov.json").read_text())["N"] == 10
+    assert peak < 8 * 2**20
+
+
 def test_convergence_refuses_traces_over_the_chunk_byte_limit(tmp_path, monkeypatch, capsys):
     # One trial's channels at N = 2^24 are 128 MiB, under the limit; its trace of
     # k_o N = 10 * 2^24 frames at 13 bytes a frame is 2.03 GiB, over it.

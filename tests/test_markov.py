@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from feedbeam import (
     one_step_absorb_probability,
     train_ensemble,
 )
-from feedbeam.markov import BLOCK, WINDOW
+from feedbeam.markov import BLOCK, DENSE_STATE_LIMIT, WINDOW
 from feedbeam.util import TRAJ_CHUNK, chunk_sizes
 
 
@@ -49,10 +50,47 @@ def brute_force_transition(h):
 
 def test_matches_brute_force_enumeration():
     gen = RandomStream(17, "h").generator()
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 7):
         h = gen.standard_normal(n)
         model = build_markov(h)
         assert np.allclose(model.transition, brute_force_transition(h), atol=1e-14)
+
+
+def test_mask_prob_matches_a_popcount_loop():
+    for n in range(1, 15):
+        p = 1.0 / n
+        counts = np.array([bin(m).count("1") for m in range(1 << n)])
+        expected = p**counts * (1.0 - p) ** (n - counts)
+        got = build_markov(np.ones(n)).mask_prob
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), n
+
+
+def _traced_peak(fn):
+    """fn() and the tracemalloc peak, in bytes, of the call."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_dense_matrix_is_built_on_first_read():
+    gen = RandomStream(61, "h").generator()
+    # Building a dense-size chain holds no 4^N array (16 MiB at N = 10).
+    model, peak = _traced_peak(lambda: build_markov(gen.standard_normal(DENSE_STATE_LIMIT)))
+    assert peak < 2**20
+    # test_matches_brute_force_enumeration checks a first read entry by entry.
+    first = model.transition
+    assert np.all(first >= 0)
+    assert np.max(np.abs(first.sum(axis=1) - 1.0)) < 1e-12
+    assert model.transition is first
+    # Above the dense limit the matrix is None and reading it costs nothing.
+    model = build_markov(gen.standard_normal(DENSE_STATE_LIMIT + 1))
+    transition, peak = _traced_peak(lambda: model.transition)
+    assert transition is None
+    assert peak < 1024
 
 
 def test_all_reverse_state_jumps_to_absorbing_with_quarter_probability():
