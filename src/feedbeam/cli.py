@@ -39,14 +39,16 @@ for bools and integers, ``%.17g`` for floats and text as is; in JSON
 ``true``/``false``, decimal integers, ``repr`` of a float or null, and
 ``json.dumps`` of text. Each block of rows is built as bytes in numpy, with
 no Python string per cell or per row. A bool or integer column whose values
-span fewer values than the block has rows is read from a lookup table that
-formats each value from its minimum to its maximum once. Any other column
-formats each distinct value once and gathers the cells, so a trace whose
-gain changes only at accepted frames formats few values. Floats are told
-apart by their bits, so ``-0.0`` and ``0.0`` keep their own cells. The cells
-and the constant pieces between them (a comma and a newline in CSV; keys,
-indents and braces in JSON) go into one fixed-width byte matrix, and one
-compaction per block drops the NUL padding. So a CSV text cell that holds a
+span fewer values than one block has rows is read from a lookup table that
+formats each value from its minimum to its maximum once for the whole table.
+Any other column formats each distinct value of a block once: only the first
+row of each run of equal consecutive values is sorted and formatted, and its
+cell is repeated along the run, so a trace whose gain changes only at
+accepted frames formats and sorts few values. Floats are told apart by their
+bits, so ``-0.0`` and ``0.0`` keep their own cells. The cells and the
+constant pieces between them (a comma and a newline in CSV; keys, indents
+and braces in JSON) go into one fixed-width byte matrix, and one pass per
+block drops the NUL padding. So a CSV text cell that holds a
 NUL, or a lone surrogate with no UTF-8 form, is refused with exit 2; JSON
 escapes both. A text cell that ends in NUL is refused in both formats, since
 a numpy text column cannot hold it. The columns of a per-N command are the
@@ -243,11 +245,15 @@ _CELL = {
         "U": json.dumps,
     },
 }
-# Rows per block of `_append_rows`. On the 512 000 rows of a benchmark trace,
-# blocks of 16384 to 65536 rows wrote equally fast and 8192 was slower; a
-# larger block formats its integer lookup tables and repeated floats fewer
-# times but holds larger temporaries.
+# Rows per block of `_append_rows`, and the span below which a bool or
+# integer column gets a lookup table. On the 512 000 rows of a benchmark
+# trace, blocks of 8192 to 32768 rows wrote CSV equally fast and 65536 was
+# slower; JSON, whose rows are four times wider, was 5-20 % faster at 8192,
+# but that would send a `t` column of more than 8192 frames to the distinct
+# path.
 _BLOCK_ROWS = 32768
+# Characters per slice of the text that `_atomic_write` encodes and writes.
+_WRITE_CHARS = 1 << 20
 # A NUL would go with the padding of the byte matrix, and a lone surrogate has
 # no UTF-8 bytes: no CSV cell may hold either. (The patterns are compiled on
 # first use, by `re`'s cache, and not at import.)
@@ -297,23 +303,41 @@ def _table(columns: Sequence[str], values: Sequence[Any]) -> _Table:
     return _Table(arrays)
 
 
-def _cells(col: np.ndarray, conversion: Callable[[Any], str]) -> np.ndarray:
+def _lookup(col: np.ndarray, conversion: Callable[[Any], str]) -> tuple[np.ndarray, Any] | None:
+    """The lookup table of an integer column whose values span fewer values
+    than one block has rows, and its minimum; None for any other column.
+
+    The table formats each value from the minimum to the maximum once, for
+    all the column's blocks.
+    """
+    if col.dtype.kind not in "iu" or len(col) == 0:
+        return None
+    lo, hi = int(col.min()), int(col.max())
+    if hi - lo >= min(len(col), _BLOCK_ROWS):
+        return None
+    return np.array([conversion(v).encode() for v in range(lo, hi + 1)]), col.dtype.type(lo)
+
+
+def _cells(
+    col: np.ndarray, conversion: Callable[[Any], str], lookup: tuple[np.ndarray, Any] | None
+) -> np.ndarray:
     """The cells of one block of a column as a byte-string (`S`) array."""
-    if col.dtype.kind in "biu":
-        ints = col.view(np.uint8) if col.dtype.kind == "b" else col
-        lo, hi = int(ints.min()), int(ints.max())
-        if hi - lo < len(ints):
-            # Each value from lo to hi formatted once, looked up at v - lo. The
-            # difference may wrap in the column's dtype, but its unsigned view
-            # of the same width is exact.
-            table = np.array([conversion(v).encode() for v in range(lo, hi + 1)])
-            return table.take((ints - ints.dtype.type(lo)).view(f"u{ints.itemsize}"))
-    # Each distinct value formatted once. Floats are told apart by their bits,
-    # so -0.0 and 0.0 keep their own cells.
+    if lookup is not None:
+        # Looked up at v - lo. The difference may wrap in the column's dtype,
+        # but its unsigned view of the same width is exact.
+        table, lo = lookup
+        return table.take((col - lo).view(f"u{col.itemsize}"))
+    # Each distinct value formatted once, found among the heads of the runs
+    # of equal consecutive keys only. Floats are told apart by their bits, so
+    # -0.0 and 0.0 keep their own cells.
     keys = col.view(f"u{col.itemsize}") if col.dtype.kind == "f" else col
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    table = np.array([conversion(x).encode() for x in col[first].tolist()])
-    return table.take(inverse)
+    head = np.empty(len(keys), dtype=bool)
+    head[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    _, first, inverse = np.unique(keys[heads], return_index=True, return_inverse=True)
+    table = np.array([conversion(x).encode() for x in col[heads[first]].tolist()])
+    return table.take(inverse).repeat(np.diff(heads, append=len(keys)))
 
 
 def _append_rows(
@@ -322,32 +346,37 @@ def _append_rows(
     """Append each row of ``rows`` to ``text`` as ``pieces[0]``, the cell of
     ``names[0]``, ``pieces[1]``, ..., the cell of ``names[-1]``, ``pieces[-1]``.
 
-    Each column's conversion is picked once from its dtype and ``fmt``; a
-    column of a kind without one is refused. Each block of rows is built as
-    bytes: the `_cells` of every column go between the pieces into one
-    fixed-width byte matrix, one matrix row per row, and one compaction drops
-    the NUL padding. So no cell or piece may hold a NUL byte.
+    Each column's conversion, and its `_lookup` table, is picked once from its
+    dtype and ``fmt``; a column of a kind without one is refused. Each block
+    of rows is built as bytes: the `_cells` of every column go between the
+    pieces into one fixed-width byte matrix, one matrix row per row, and one
+    pass drops the NUL padding. So no cell or piece may hold a NUL byte.
     """
     fields = []
     for name in names:
         col = rows[name]
         if col.dtype.kind not in _CELL[fmt]:  # an integer beyond 64 bits makes objects
             raise CapacityError(f"column {name!r} has no {fmt.upper()} cell type: {col.dtype}")
-        fields.append((col, _CELL[fmt][col.dtype.kind]))
+        conversion = _CELL[fmt][col.dtype.kind]
+        if col.dtype.kind == "b":  # converted as its 0 or 1
+            col = col.view(np.uint8)
+        fields.append((col, conversion, _lookup(col, conversion)))
     for lo in range(0, len(rows), _BLOCK_ROWS):
-        cells = [_cells(col[lo : lo + _BLOCK_ROWS], conversion) for col, conversion in fields]
+        cells = [_cells(col[lo : lo + _BLOCK_ROWS], *field) for col, *field in fields]
         n = len(cells[0])
         widths = [c.itemsize for c in cells]
         template = bytearray(b"".join(p + bytes(w) for p, w in zip(pieces, [*widths, 0])))
         # One row of pieces repeated n times, as fast as a fill; a broadcast
         # copy of the row into the matrix is several times slower.
-        line = np.frombuffer(template * n, dtype=np.uint8).reshape(n, len(template))
+        block = template * n
         start = 0
         for piece, c in zip(pieces, cells):
             start += len(piece)
-            line[:, start : start + c.itemsize] = c.view(np.uint8).reshape(n, c.itemsize)
+            # The column of the matrix as one strided `S` array: a copy of
+            # whole cells, twice as fast as a copy of a (n, itemsize) uint8 slice.
+            np.ndarray((n,), c.dtype, block, start, (len(template),))[...] = c
             start += c.itemsize
-        text.extend(line[line != 0])
+        text += block.translate(None, b"\0")
 
 
 def _csv_text(rows: _Table) -> str:
@@ -438,8 +467,10 @@ def _json_text(doc: Any) -> str:
 def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temp file and a rename.
 
-    The artifact gets the mode a plain ``open`` would give it, 0o666 less
-    the umask, not the 0o600 of the temp file.
+    The text is encoded to UTF-8 in slices of `_WRITE_CHARS` characters, so
+    no second copy of the whole artifact is held. The artifact gets the mode
+    a plain ``open`` would give it, 0o666 less the umask, not the 0o600 of
+    the temp file.
     """
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
@@ -447,9 +478,10 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".feedbeam-", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
+            with os.fdopen(fd, "wb") as f:
                 os.fchmod(f.fileno(), 0o666 & ~umask)
-                f.write(text)
+                for start in range(0, len(text), _WRITE_CHARS):
+                    f.write(text[start : start + _WRITE_CHARS].encode())
             os.replace(tmp, path)
         except BaseException:
             try:

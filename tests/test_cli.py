@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, from_dtype
 
 import feedbeam
+import feedbeam.cli as cli
 from feedbeam import (
     CapacityError,
     ConfigError,
@@ -1315,6 +1316,8 @@ _TEXT_CELLS = st.text(st.characters(exclude_categories=()))
 _DTYPES = ["bool", "int8", "int32", "int64", "uint64", "float32", "float64"]
 # Array columns whose cells repeat: every cell is one of a pool of at most three values.
 _POOLED = [f"{dtype} pooled" for dtype in _DTYPES]
+# A float column of at most eight runs of one value each, so runs cross block edges.
+_RUNS = "float64 runs"
 # The values a float column must keep apart (-0.0, 0.0), that never compare
 # equal, that are not finite, or the smallest subnormal.
 _EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]
@@ -1328,6 +1331,12 @@ def column(kind, n_rows):
     """
     if kind == "text":
         return arrays(object, n_rows, elements=_TEXT_CELLS).map(list)
+    if kind == _RUNS:
+        values = st.lists(st.sampled_from(_EDGE_FLOATS) | st.floats(), min_size=8, max_size=8)
+        edges = st.lists(st.integers(0, n_rows), min_size=7, max_size=7).map(sorted)
+        return st.tuples(values, edges).map(
+            lambda ve: np.repeat(np.array(ve[0]), np.diff([0, *ve[1], n_rows]))
+        )
     if kind in _POOLED:
         dtype = np.dtype(kind.split()[0])
         elements = from_dtype(dtype)
@@ -1408,22 +1417,33 @@ def test_csv_writer_repeated_values_across_blocks():
     gain[_BLOCK_ROWS - 700 : _BLOCK_ROWS + 900] = -0.0
     gain[_BLOCK_ROWS + 900 : _BLOCK_ROWS + 950] = 0.0
     gain[-5:] = [math.nan, -0.0, 0.0, 5e-324, math.inf]
+    # A run of NaNs of three bit patterns that ends across the last block edge.
+    nan_bits = gain[2 * _BLOCK_ROWS - 40 : 2 * _BLOCK_ROWS].view(np.uint64)
+    nan_bits[:15], nan_bits[15:30] = 0x7FF8000000000001, 0xFFF8000000000000
+    nan_bits[30:] = 0x7FF8000000000000
+    # Runs of 8: each block spans fewer values than it has rows, the whole column more.
+    runs = np.repeat(np.arange(n // 8 + 1, dtype=np.uint32), 8)[:n] * 5
+    assert int(runs.max()) >= _BLOCK_ROWS > int(np.ptp(runs[:_BLOCK_ROWS]))
     values = [
         gen.integers(0, 3, n).astype(np.int64),
         gain,
         gen.random(n) < 0.02,
         np.repeat(np.arange(3, dtype=np.uint16), n // 3 + 1)[:n],
         gain.astype(np.float32),
+        runs,
+        np.ones(n, dtype=bool),
     ]
     for block in range(3):
         zeros = gain[block * _BLOCK_ROWS : (block + 1) * _BLOCK_ROWS]
         zeros = zeros[zeros == 0]
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
-    columns = ["group", "gain", "accepted", "code", "gain32"]
+    columns = ["group", "gain", "accepted", "code", "gain32", "runs", "always"]
     text = _csv_text(_table(columns, values))
     assert text == per_cell_csv(columns, list(zip(*values)))
     for cell in ("-0", "0", "nan", "inf", "-inf", "4.9406564584124654e-324"):
         assert f",{cell}," in text, cell
+    row = 2 * _BLOCK_ROWS - 26  # a NaN with payload bits, on line row + 1
+    assert text.split("\n")[row + 1].startswith(f"{values[0][row]},nan,")
 
 
 def test_csv_writer_edge_cells_across_two_block_edges():
@@ -1518,7 +1538,7 @@ def _json_doc(rows, depth):
 def test_json_writer_matches_the_reference_at_any_depth(data):
     n_rows = data.draw(st.sampled_from([0, 1, 2 * _BLOCK_ROWS + 3]))
     names = data.draw(st.lists(st.sampled_from(_FIELD_NAMES), min_size=1, max_size=4, unique=True))
-    kinds = [data.draw(st.sampled_from(["text"] + _DTYPES + _POOLED)) for _ in names]
+    kinds = [data.draw(st.sampled_from(["text", _RUNS] + _DTYPES + _POOLED)) for _ in names]
     values = [data.draw(column(kind, n_rows)) for kind in kinds]
     # A `U` array would drop a cell's trailing NULs, so such a cell is refused.
     if any(kind == "text" and any(s.endswith("\0") for s in v) for kind, v in zip(kinds, values)):
@@ -1598,6 +1618,19 @@ def test_convergence_artifacts_match_row_by_row_reference(tmp_path):
         spec = ExperimentSpec("convergence", config, output_path=str(out), format=fmt)
         run(spec)
         assert out.read_text() == text
+
+
+def test_atomic_write_encodes_slices_across_multibyte_cells(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_WRITE_CHARS", 7)
+    pool = ["é", "ß b", "\u2603", "\U0001f600", "idealized", ""]
+    cells = [pool[i] for i in np.random.default_rng(3).integers(0, len(pool), 200)]
+    text = _csv_text(_table(["text", "code"], [cells, np.arange(200, dtype=np.uint8)]))
+    # Slice edges fall next to cells of two, three and four UTF-8 bytes.
+    edges = {len(text[k - 1].encode()) for k in range(7, len(text), 7)}
+    assert {2, 3, 4} <= edges
+    out = tmp_path / "text.csv"
+    _atomic_write(str(out), text)
+    assert out.read_bytes() == text.encode("utf-8")
 
 
 def test_artifact_mode_follows_umask(tmp_path):
