@@ -30,7 +30,7 @@ JSON document and its summary lines. ``run`` alone picks the writer:
 ``_json_text`` of the document or ``_csv_text`` of the rows. ``_jsonable``
 alone maps other values to JSON: a dataclass as its fields, a non-finite
 float as null, where CSV writes ``nan``/``inf``/``-inf``. One block writer,
-``_append_rows``, writes a column table in both formats: in CSV one line per
+``_row_blocks``, writes a column table in both formats: in CSV one line per
 row, in JSON one object per row, keys sorted, indented as
 ``json.dumps(indent=2, sort_keys=True)`` indents it at its depth in the
 document, with the same bytes. Every column is a typed array, and the writer
@@ -48,14 +48,16 @@ accepted frames formats and sorts few values. Floats are told apart by their
 bits, so ``-0.0`` and ``0.0`` keep their own cells. The cells and the
 constant pieces between them (a comma and a newline in CSV; keys, indents
 and braces in JSON) go into one fixed-width byte matrix, and one pass per
-block drops the NUL padding. So a CSV text cell that holds a
-NUL, or a lone surrogate with no UTF-8 form, is refused with exit 2; JSON
-escapes both. A text cell that ends in NUL is refused in both formats, since
-a numpy text column cannot hold it. The columns of a per-N command are the
-fields of its result dataclass, in field order, and named extras: ``slope``
-after ``ProbeRow``, ``N`` and ``M`` before ``ProtocolReport`` and
-``rate_assumed`` after it. JSON rows of ``outage`` add ``link``; the
-probe's JSON is its ``ProbeResult``.
+block drops the NUL padding. So a CSV text cell that holds a NUL, or a lone
+surrogate with no UTF-8 form, is refused with exit 2; JSON escapes both.
+Each block is then decoded and appended to the one ``str`` of the artifact,
+which grows in place: the whole text is held once, plus one block's
+temporaries, and never also as bytes. A text cell that ends in NUL is
+refused in both formats, since a numpy text column cannot hold it. The
+columns of a per-N command are the fields of its result dataclass, in field
+order, and named extras: ``slope`` after ``ProbeRow``, ``N`` and ``M``
+before ``ProtocolReport`` and ``rate_assumed`` after it. JSON rows of
+``outage`` add ``link``; the probe's JSON is its ``ProbeResult``.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, NoReturn, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -245,12 +247,13 @@ _CELL = {
         "U": json.dumps,
     },
 }
-# Rows per block of `_append_rows`, and the span below which a bool or
-# integer column gets a lookup table. On the 512 000 rows of a benchmark
-# trace, blocks of 8192 to 32768 rows wrote CSV equally fast and 65536 was
-# slower; JSON, whose rows are four times wider, was 5-20 % faster at 8192,
-# but that would send a `t` column of more than 8192 frames to the distinct
-# path.
+# Rows per block of `_row_blocks`, and the span below which a bool or
+# integer column gets a lookup table. Beside the text, the writer holds one
+# block's cells, bytes and decoded text at a time. On the 512 000 rows of a
+# benchmark trace, blocks of 8192 to 32768 rows wrote CSV equally fast and
+# 65536 was slower; JSON, whose rows are four times wider, was 5-20 % faster
+# at 8192, but that would send a `t` column of more than 8192 frames to the
+# distinct path.
 _BLOCK_ROWS = 32768
 # Characters per slice of the text that `_atomic_write` encodes and writes.
 _WRITE_CHARS = 1 << 20
@@ -340,11 +343,12 @@ def _cells(
     return table.take(inverse).repeat(np.diff(heads, append=len(keys)))
 
 
-def _append_rows(
-    text: bytearray, rows: _Table, names: Sequence[str], fmt: str, pieces: Sequence[bytes]
-) -> None:
-    """Append each row of ``rows`` to ``text`` as ``pieces[0]``, the cell of
-    ``names[0]``, ``pieces[1]``, ..., the cell of ``names[-1]``, ``pieces[-1]``.
+def _row_blocks(
+    rows: _Table, names: Sequence[str], fmt: str, pieces: Sequence[bytes]
+) -> Iterator[bytearray]:
+    """Each block of rows of ``rows`` as bytes, one row as ``pieces[0]``, the
+    cell of ``names[0]``, ``pieces[1]``, ..., the cell of ``names[-1]``,
+    ``pieces[-1]``.
 
     Each column's conversion, and its `_lookup` table, is picked once from its
     dtype and ``fmt``; a column of a kind without one is refused. Each block
@@ -376,7 +380,9 @@ def _append_rows(
             # whole cells, twice as fast as a copy of a (n, itemsize) uint8 slice.
             np.ndarray((n,), c.dtype, block, start, (len(template),))[...] = c
             start += c.itemsize
-        text += block.translate(None, b"\0")
+        packed = block.translate(None, b"\0")
+        del cells, block  # freed before the caller decodes the block
+        yield packed
 
 
 def _csv_text(rows: _Table) -> str:
@@ -393,29 +399,40 @@ def _csv_text(rows: _Table) -> str:
                     f"column {name!r} has a cell with a NUL or a lone surrogate, "
                     f"which CSV cannot hold: {bad[0]!r}"
                 )
-    # One growing buffer, not a list of blocks and their join: at most the
-    # bytes and the decoded text are held at once.
-    text = bytearray((",".join(columns) + "\n").encode())
-    _append_rows(text, rows, columns, "csv", [b"", *[b","] * (len(columns) - 1), b"\n"])
-    return text.decode()
+    # The text is one local `str` that each decoded block is appended to.
+    # CPython grows a `str` that nothing else references in place, so the
+    # artifact is held once, plus one block's temporaries. (Were another
+    # reference to hold it, each `+=` would copy the whole text: quadratic in
+    # the blocks. CPython 3.11 grows it in place only once it has specialized
+    # the `+=`, about eight loop iterations into a process, so a first call
+    # copies the text at its first few blocks.)
+    text = ",".join(columns) + "\n"
+    for block in _row_blocks(rows, columns, "csv", [b"", *[b","] * (len(columns) - 1), b"\n"]):
+        text += block.decode()
+    return text
 
 
-def _append_records(text: bytearray, rows: _Table, outer: str) -> None:
-    """Append the column table ``rows`` as ``json.dumps(indent=2,
-    sort_keys=True)`` writes a list of one object per row, at the depth whose
+def _record_blocks(rows: _Table, outer: str) -> Iterator[bytes | bytearray]:
+    """The column table ``rows`` in blocks of bytes, as ``json.dumps(indent=2,
+    sort_keys=True)`` writes a list of one object per row at the depth whose
     indent is ``outer``."""
     if len(rows) == 0:
-        text.extend(b"[]")
+        yield b"[]"
         return
     names = sorted(rows.names)
     item, field = outer + "  ", outer + "    "
     keys = [json.dumps(name) + ": " for name in names]
     pieces = [f"{item}{{\n{field}{keys[0]}", *(f",\n{field}{k}" for k in keys[1:])]
     pieces.append(f"\n{item}}},\n")
-    text.extend(b"[\n")
-    _append_rows(text, rows, names, "json", [p.encode() for p in pieces])
-    del text[-2:]  # the last object's ",\n"
-    text.extend(f"\n{outer}]".encode())
+    yield b"[\n"
+    blocks = _row_blocks(rows, names, "json", [p.encode() for p in pieces])
+    last = next(blocks)
+    for block in blocks:
+        yield last
+        last = block
+    del last[-2:]  # the last object's ",\n", trimmed from the last block only
+    yield last
+    yield f"\n{outer}]".encode()
 
 
 def _jsonable(obj: Any) -> Any:
@@ -455,13 +472,15 @@ def _json_text(doc: Any) -> str:
 
     dumped = json.dumps(_jsonable(doc), indent=2, sort_keys=True, default=mark)
     pieces = re.split(_RECORDS_MARK, dumped)
-    text = bytearray(pieces[0].encode())
+    # One local `str` that grows in place, as in `_csv_text`.
+    text = pieces[0]
     for rows, before, after in zip(records, pieces, pieces[1:]):
         line = before[before.rfind("\n") + 1 :]
-        _append_records(text, rows, " " * (len(line) - len(line.lstrip(" "))))
-        text.extend(after.encode())
-    text.extend(b"\n")
-    return text.decode()
+        for block in _record_blocks(rows, " " * (len(line) - len(line.lstrip(" ")))):
+            text += block.decode()
+        text += after
+    text += "\n"
+    return text
 
 
 def _atomic_write(path: str, text: str) -> None:

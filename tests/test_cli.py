@@ -1397,7 +1397,9 @@ def test_csv_writer_blocks_and_array_columns():
         gen.random(n) < 0.5,
         np.arange(n, dtype=np.uint8),
         [math.nan if i % 7 == 0 else float(g) for i, g in enumerate(gain)],
-        ["idealized"] * n,
+        # ASCII but for one cell in the last block, so the text changes kind
+        # while it grows.
+        ["idealized"] * (n - 2) + ["snow \u2603", "idealized"],
     ]
     columns = ["trial", "gain", "accepted", "code", "bound_finite", "mode"]
     rows = _table(columns, values)
@@ -1405,6 +1407,7 @@ def test_csv_writer_blocks_and_array_columns():
     assert text == per_cell_csv(columns, list(zip(*values)))
     assert text.count("\n") == n + 1
     assert ",nan,idealized\n" in text and ",-0," in text
+    assert text.index("\u2603") > text.index(f"\n{2 * _BLOCK_ROWS},")
 
 
 def test_csv_writer_repeated_values_across_blocks():
@@ -1553,6 +1556,38 @@ def test_json_writer_matches_the_reference_at_any_depth(data):
         at = next(i for i, (a, b) in enumerate(zip(text + "\0", reference + "\1")) if a != b)
         around = slice(max(at - 60, 0), at + 60)
         pytest.fail(f"first difference at {at}: {text[around]!r} != {reference[around]!r}")
+
+
+def test_writers_hold_the_text_once(monkeypatch):
+    # Forty blocks of a trace-like table. Each block is appended to one `str`
+    # that grows in place, so a writer's peak is the text plus a few blocks'
+    # temporaries; the text held also as bytes would take twice the text.
+    # Were the `str` not grown in place, each block would copy the whole text
+    # (quadratic in the blocks) and the peak would be twice the text too.
+    # Small blocks keep the table small; a cold CPython 3.11 copies its first
+    # few blocks, which forty blocks leave far below the text.
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1024)
+    n = 40 * 1024 - 3
+    gen = np.random.default_rng(23)
+    gain = np.repeat(gen.standard_normal(n // 16 + 1), 16)[:n]  # runs of 16
+    t = np.tile(np.arange(1000, dtype=np.uint16), n // 1000 + 1)[:n]
+    columns = ["t", "gain", "accepted"]
+    values = [t, gain, gen.random(n) < 0.06]
+    rows = _table(columns, values)
+    doc = {"N": 100, "trace": rows}
+    for write, arg, reference in [
+        (_csv_text, rows, lambda: per_cell_csv(columns, list(zip(*values)))),
+        (_json_text, doc, lambda: _reference_json_text(doc)),
+    ]:
+        tracemalloc.start()
+        try:
+            text = write(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(text), (write.__name__, peak / len(text))
+        assert text == reference(), write.__name__
+        del text
 
 
 _RUNNER_CASES = {
