@@ -16,6 +16,7 @@ amplitudes of ``channel.link_amplitudes``. Its mean has a closed form,
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,9 @@ def expected_interference_power(config: NetworkConfig) -> float:
     """
     if config.M < 2:
         raise DomainError("interference power requires M >= 2")
+    # Compared, not converted, so that an M beyond float range cannot overflow.
+    if config.M > sys.float_info.max:
+        raise DomainError(f"M is too large for a float, got an M of {config.M.bit_length()} bits")
     return config.P * config.M / 2.0
 
 
@@ -108,6 +112,10 @@ def compare_protocols(sigma_I2: float, config: NetworkConfig, R: float) -> Proto
     """
     if config.M < 2:
         raise DomainError("protocol comparison requires M >= 2")
+    if config.M**2 > sys.float_info.max:
+        raise DomainError(
+            f"M^2 is too large for a float, got an M of {config.M.bit_length()} bits"
+        )
     ratio = frame_ratio(sigma_I2, config.N_o)
     t_f_i = config.T_f * ratio
     bits_modified = R * config.k_o * config.N * t_f_i * config.M * (config.M - 1) / 2.0

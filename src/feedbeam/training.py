@@ -14,16 +14,17 @@ single feedback bit per frame:
 Groups train sequentially, one block of k_o*N frames each, while all other
 groups stay silent, so a network training run is M independent group runs.
 
-``train_ensemble`` is the one training kernel: it runs B trials of the same
-shape in frame lockstep, and ``train_group`` / ``train_network`` call it at
-B = 1. The flip proposals form an iid Bernoulli(1/N) field over (frame,
-trial, source) cells. The kernel draws only the flipped cells, as geometric
-gaps between successive flips over the flat cell index (Devroye, Non-Uniform
-Random Variate Generation, 1986, ch. X), so a frame costs O(B + flips)
-instead of O(B*N): the level change of a proposal is -2 * sum over its
-flipped sources of h_j * alpha_j. The kernel keeps h * alpha itself and
-negates it in place at accepted cells, so a frame is a few numpy calls on
-O(B + flips) elements, and the weights are read from its signs at the end.
+``train_ensemble`` is the one training kernel: it runs B independent
+trainings of the same shape in frame lockstep, and ``train_network`` is one
+call of it over a network's M own links. The flip proposals form an iid
+Bernoulli(1/N) field over (frame, trial, source) cells. The kernel draws
+only the flipped cells, as geometric gaps between successive flips over the
+flat cell index (Devroye, Non-Uniform Random Variate Generation, 1986,
+ch. X), so a frame costs O(B + flips) instead of O(B*N): the level change
+of a proposal is -2 * sum over its flipped sources of h_j * alpha_j. The
+kernel keeps h * alpha itself and negates it in place at accepted cells, so
+a frame is a few numpy calls on O(B + flips) elements, and the weights are
+read from its signs at the end.
 The exact Markov chain in ``markov`` is the independent check of this law.
 
 Monte Carlo runs over random networks share one plan, ``plan_networks``,
@@ -48,13 +49,10 @@ from .rng import RandomStream
 from .util import TRAJ_CHUNK, TRIAL_CHUNK, check_bytes, chunk_sizes, map_chunks
 
 __all__ = [
-    "TrainingTrace",
     "EnsembleResult",
-    "train_group",
     "train_network",
     "train_ensemble",
     "run_convergence",
-    "run_group_final_gains",
     "ensemble_gain_stats",
 ]
 
@@ -73,30 +71,8 @@ Reducer = Callable[
 ]
 
 
-@dataclass
-class TrainingTrace:
-    """Per-frame history of one training block.
-
-    gain[t] is the true combined amplitude sum_j h_j * alpha_hat_j after the
-    frame-t update (frame 0 is initialization), aligned_count[t] the number
-    of sources with h_j * alpha_hat_j > 0, accepted[t] whether frame t's
-    perturbation was accepted (False at t = 0, where nothing is proposed).
-    """
-
-    gain: np.ndarray
-    aligned_count: np.ndarray
-    accepted: np.ndarray
-
-
 def _pilot_scale(config: NetworkConfig) -> float:
     return (config.P / config.N) ** 0.5
-
-
-def _require_length(h_group: np.ndarray, n: int) -> np.ndarray:
-    h = np.asarray(h_group, dtype=float)
-    if h.ndim != 1 or h.shape[0] != n:
-        raise DimensionError(f"expected a length-{n} channel vector, got shape {h.shape}")
-    return h
 
 
 def _flip_cells(gen: np.random.Generator, n_cells: int, n: int) -> np.ndarray:
@@ -135,56 +111,17 @@ def _gaps(gen: np.random.Generator, p: float, size: int) -> np.ndarray:
     return np.ceil(gaps, out=gaps).astype(np.int64)
 
 
-def train_group(
-    h_group: np.ndarray, config: NetworkConfig, stream: RandomStream
-) -> tuple[np.ndarray, TrainingTrace]:
-    """Run one full training block and return the final weights plus trace.
-
-    Frame 0 initializes, frames 1 .. k_o*N - 1 propose, measure and keep or
-    discard; k_o*N frames are consumed in total. This is ``train_ensemble``
-    at batch size 1 with every frame recorded.
-    """
-    h = _require_length(h_group, config.N)
-    res = train_ensemble(h[np.newaxis, :], config, stream, record_trace=True)
-    trace = TrainingTrace(
-        gain=res.gain[0],
-        aligned_count=res.aligned_count[0],
-        accepted=res.accepted[0],
-    )
-    return res.weights[0], trace
-
-
-def train_network(
-    channels: ChannelRealization, config: NetworkConfig, stream: RandomStream
-) -> tuple[np.ndarray, list[TrainingTrace]]:
-    """Train all M groups sequentially (group i on block i, others silent).
-
-    Group i trains on its own coefficients h[i, i, :] only; with per-group
-    streams derived as ``stream.child("group/i")``. Returns the (M, N)
-    final-weight matrix and the M block traces (M * k_o * N frames total).
-    """
-    if not channels.matches(config):
-        raise DimensionError(
-            f"channel tensor {channels.h.shape} does not match config "
-            f"(M={config.M}, N={config.N})"
-        )
-    weights = np.empty((config.M, config.N))
-    traces: list[TrainingTrace] = []
-    for i in range(config.M):
-        weights[i], trace = train_group(
-            channels.group_channel(i), config, stream.child(f"group/{i}")
-        )
-        traces.append(trace)
-    return weights, traces
-
-
 @dataclass
 class EnsembleResult:
-    """Lockstep training of B independent trials (one group each).
+    """B independent training blocks run in lockstep (one group each).
 
     ``weights`` is (B, N), ``final_gain`` the true combined amplitude per
-    trial at the last frame. Trace arrays are (B, n_frames), column t
-    holding frame t, and present only when recording was requested.
+    row at the last frame. Trace arrays are (B, n_frames), column t holding
+    frame t, and present only when recording was requested: ``gain`` is the
+    true combined amplitude sum_j h_j * alpha_j after frame t's update
+    (frame 0 is initialization), ``aligned_count`` the number of sources
+    with h_j * alpha_j > 0, and ``accepted`` whether frame t's proposal was
+    kept (False at t = 0, where nothing is proposed).
     """
 
     weights: np.ndarray
@@ -293,6 +230,25 @@ def train_ensemble(
     )
 
 
+def train_network(
+    channels: ChannelRealization, config: NetworkConfig, stream: RandomStream
+) -> EnsembleResult:
+    """Train all M groups, group i on its own links h[i, i, :] only.
+
+    The groups' blocks are independent, so one lockstep ``train_ensemble``
+    call over the M own links runs them all, with every frame recorded:
+    ``weights`` is (M, N) and each trace (M, k_o*N), row i holding group
+    i's block (M * k_o * N frames in total).
+    """
+    if not channels.matches(config):
+        raise DimensionError(
+            f"channel tensor {channels.h.shape} does not match config "
+            f"(M={config.M}, N={config.N})"
+        )
+    m = np.arange(config.M)
+    return train_ensemble(channels.h[m, m, :], config, stream, record_trace=True)
+
+
 def _row_blocks(
     gen: np.random.Generator, size: int, shape: tuple[int, ...]
 ) -> Iterator[np.ndarray]:
@@ -387,10 +343,12 @@ def map_networks(
     ``reduce`` must be picklable (a module-level function or a partial of
     one) so that chunks can run on a process pool.
     """
+    # The plan reads only how many groups there are, so it refuses a huge
+    # ``range`` of them before their indices are held.
+    sizes = plan_networks(config, groups, record_trace)
     groups = tuple(groups)
     tasks = [
-        (reduce, config, stream, c, size, groups, record_trace)
-        for c, size in enumerate(plan_networks(config, groups, record_trace))
+        (reduce, config, stream, c, size, groups, record_trace) for c, size in enumerate(sizes)
     ]
     return map_chunks(network_chunk, tasks, workers)
 
@@ -428,25 +386,6 @@ def run_convergence(
     """Train ``config.trials`` random networks and trace every frame of each block."""
     parts = map_networks(_traces, config, stream, range(config.M), workers, record_trace=True)
     return ConvergenceResult(*(np.concatenate(a, axis=0) for a in zip(*parts)))
-
-
-def _final_gains(
-    config: NetworkConfig, h: np.ndarray, trained: list[EnsembleResult], sub: RandomStream
-) -> tuple[np.ndarray, np.ndarray]:
-    return trained[0].final_gain, np.abs(h[:, 0, 0, :]).sum(axis=1)
-
-
-def run_group_final_gains(
-    config: NetworkConfig, stream: RandomStream, workers: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Final gains of ``config.trials`` single-group training runs.
-
-    Each trial draws a fresh channel vector (a network with M = 1) and
-    trains one full block; returns (final_gain, sum_j |h_j|) per trial, the
-    pair needed to check the epsilon-level convergence guarantee.
-    """
-    gains, ceilings = zip(*map_networks(_final_gains, config.replace(M=1), stream, [0], workers))
-    return np.concatenate(gains), np.concatenate(ceilings)
 
 
 def _gain_stats_chunk(

@@ -29,8 +29,7 @@ from feedbeam import (
     outage_bound,
     q_inverse,
     run_convergence,
-    run_group_final_gains,
-    train_group,
+    train_ensemble,
 )
 from feedbeam.bounds import _signal_thresholds
 from feedbeam.cli import EXIT_OK, main
@@ -116,7 +115,7 @@ def test_criterion_3_training_budget_reaches_epsilon_level():
     ok = True
     for n in (50, 100):
         cfg = _config(N=n, k_o=budget, trials=200)
-        gains, _ = run_group_final_gains(cfg, RandomStream(cfg.seed, f"acc3/N{n}"))
+        gains = run_convergence(cfg, RandomStream(cfg.seed, f"acc3/N{n}")).gain[:, 0, -1]
         se = gains.std(ddof=1) / math.sqrt(gains.size)
         floor = n * target_slope - 2.0 * se
         ok &= gains.mean() >= floor
@@ -244,12 +243,15 @@ def test_criterion_8_structural_invariants(tmp_path):
     permanent = True
     for trial in range(10):
         h = RandomStream(cfg.seed, f"acc8/abs/{trial}").generator().standard_normal(6)
-        _, trace = train_group(
-            h, _config(N=6, k_o=50.0), RandomStream(cfg.seed, f"acc8/abs-run/{trial}")
-        )
-        hits = np.flatnonzero(trace.aligned_count == 6)
+        aligned = train_ensemble(
+            h[np.newaxis],
+            _config(N=6, k_o=50.0),
+            RandomStream(cfg.seed, f"acc8/abs-run/{trial}"),
+            record_trace=True,
+        ).aligned_count[0]
+        hits = np.flatnonzero(aligned == 6)
         if hits.size:
-            permanent &= bool(np.all(trace.aligned_count[hits[0]:] == 6))
+            permanent &= bool(np.all(aligned[hits[0]:] == 6))
     notes.append(f"absorption_permanent={permanent}")
 
     # Markov rows sum to one within 1e-12
@@ -264,10 +266,12 @@ def test_criterion_8_structural_invariants(tmp_path):
     h = RandomStream(cfg.seed, "acc8/scale").generator().standard_normal(32)
     sc_cfg = _config(N=32, k_o=6.0)
     stream = RandomStream(cfg.seed, "acc8/scale-run")
-    w1, tr1 = train_group(h, sc_cfg, stream)
-    w2, tr2 = train_group(2.5 * h, sc_cfg, stream)
+    r1, r2 = (
+        train_ensemble(g[np.newaxis], sc_cfg, stream, record_trace=True) for g in (h, 2.5 * h)
+    )
     equivariant = bool(
-        np.array_equal(w1, w2) and np.allclose(tr2.gain, 2.5 * tr1.gain, rtol=1e-12)
+        np.array_equal(r1.weights, r2.weights)
+        and np.allclose(r2.gain, 2.5 * r1.gain, rtol=1e-12)
     )
     notes.append(f"scale_equivariant={equivariant}")
 

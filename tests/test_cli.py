@@ -8,8 +8,10 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -642,6 +644,41 @@ def test_protocol_compare_runs_at_huge_m_in_little_memory(tmp_path, capsys):
             report = json.loads(out.read_text())
             assert (report["M"], report["sigma_I2"]) == (M, 100.0 * M / 2)
         assert peak < 2**20, fmt
+
+
+@pytest.mark.parametrize(
+    "M, message",
+    [
+        (2**600, "M^2 is too large for a float, got an M of 601 bits"),
+        (2**1100, "M is too large for a float, got an M of 1101 bits"),
+    ],
+    ids=["M^2", "M"],
+)
+def test_protocol_compare_refuses_m_beyond_float_range(tmp_path, monkeypatch, capsys, M, message):
+    # The sequential protocol's bits count M^2 N slots, and sigma_I^2 is P M / 2.
+    monkeypatch.chdir(tmp_path)
+    doc = base_doc(M=M, N=100)
+    doc["command"] = "protocol-compare"
+    assert main(["--config", write_doc(tmp_path, doc)]) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "invalid-config", "message": message}
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+def test_convergence_at_huge_m_is_refused_at_once(tmp_path, monkeypatch, capsys):
+    # The chunk plan needs only the number of groups, so 2^40 of them are
+    # refused before a tuple of their indices is built.
+    monkeypatch.chdir(tmp_path)
+    doc = base_doc(M=2**40, N=100, trials=1)
+    doc["command"] = "convergence"
+    start = time.perf_counter()
+    assert main(["--config", write_doc(tmp_path, doc)]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "invalid-config"
+    assert err["message"].startswith("a chunk's channels and traces at N=100 take ")
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
 @pytest.mark.parametrize("mode", ["idealized", "trained"])
@@ -1539,23 +1576,31 @@ def _json_doc(rows, depth):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_json_writer_matches_the_reference_at_any_depth(data):
-    n_rows = data.draw(st.sampled_from([0, 1, 2 * _BLOCK_ROWS + 3]))
-    names = data.draw(st.lists(st.sampled_from(_FIELD_NAMES), min_size=1, max_size=4, unique=True))
-    kinds = [data.draw(st.sampled_from(["text", _RUNS] + _DTYPES + _POOLED)) for _ in names]
-    values = [data.draw(column(kind, n_rows)) for kind in kinds]
-    # A `U` array would drop a cell's trailing NULs, so such a cell is refused.
-    if any(kind == "text" and any(s.endswith("\0") for s in v) for kind, v in zip(kinds, values)):
-        with pytest.raises(CapacityError, match="has a text cell ending in NUL"):
-            _table(names, values)
-        return
-    rows = _table(names, values)
-    assert rows.names == tuple(names) and len(rows) == n_rows
-    doc = _json_doc(rows, data.draw(st.sampled_from([0, 1, 2])))
-    text, reference = _json_text(doc), _reference_json_text(doc)
-    if text != reference:  # shown from the first difference: a diff of whole texts takes minutes
-        at = next(i for i, (a, b) in enumerate(zip(text + "\0", reference + "\1")) if a != b)
-        around = slice(max(at - 60, 0), at + 60)
-        pytest.fail(f"first difference at {at}: {text[around]!r} != {reference[around]!r}")
+    # Blocks of 256 rows keep the three-block case small and fast; the
+    # trace-size JSON pin in CI covers the full 32768-row block.
+    with mock.patch.object(cli, "_BLOCK_ROWS", 256):
+        n_rows = data.draw(st.sampled_from([0, 1, 2 * cli._BLOCK_ROWS + 3]))
+        names = data.draw(
+            st.lists(st.sampled_from(_FIELD_NAMES), min_size=1, max_size=4, unique=True)
+        )
+        kinds = [data.draw(st.sampled_from(["text", _RUNS] + _DTYPES + _POOLED)) for _ in names]
+        values = [data.draw(column(kind, n_rows)) for kind in kinds]
+        # A `U` array would drop a cell's trailing NULs, so such a cell is refused.
+        if any(
+            kind == "text" and any(s.endswith("\0") for s in v) for kind, v in zip(kinds, values)
+        ):
+            with pytest.raises(CapacityError, match="has a text cell ending in NUL"):
+                _table(names, values)
+            return
+        rows = _table(names, values)
+        assert rows.names == tuple(names) and len(rows) == n_rows
+        doc = _json_doc(rows, data.draw(st.sampled_from([0, 1, 2])))
+        text, reference = _json_text(doc), _reference_json_text(doc)
+        # Shown from the first difference: a diff of whole texts takes minutes.
+        if text != reference:
+            at = next(i for i, (a, b) in enumerate(zip(text + "\0", reference + "\1")) if a != b)
+            around = slice(max(at - 60, 0), at + 60)
+            pytest.fail(f"first difference at {at}: {text[around]!r} != {reference[around]!r}")
 
 
 def test_writers_hold_the_text_once(monkeypatch):

@@ -20,9 +20,7 @@ from feedbeam import (
     abs_moment,
     ensemble_gain_stats,
     run_convergence,
-    run_group_final_gains,
     train_ensemble,
-    train_group,
     train_network,
 )
 from feedbeam.training import FLIP_BLOCK, _flip_cells, map_networks, plan_networks
@@ -92,7 +90,7 @@ def test_noisy_single_source_first_frame_accept_probability(make_config):
 def test_init_rejects_wrong_length(make_config):
     cfg = make_config(N=3)
     with pytest.raises(DimensionError):
-        train_group(np.ones(4), cfg, RandomStream(0, "x"))
+        train_ensemble(np.ones(3), cfg, RandomStream(0, "x"))  # a vector, not a (B, N) batch
     with pytest.raises(DimensionError):
         train_ensemble(np.ones((2, 4)), cfg, RandomStream(0, "x"))
 
@@ -232,11 +230,12 @@ def test_train_group_single_source_full_enumeration(make_config):
     # afterwards every proposal flips back and is rejected, so the feedback
     # rule's accept and reject branches both show in one trace.
     cfg = make_config(N=1, P=1.0, k_o=6.0, seed=9)
-    weights, trace = train_group(np.array([-0.7]), cfg, RandomStream(cfg.seed, "t"))
-    assert np.array_equal(weights, [-1.0])
-    assert trace.gain == pytest.approx([-0.7, 0.7, 0.7, 0.7, 0.7, 0.7])
-    assert list(trace.accepted) == [False, True, False, False, False, False]
-    assert list(trace.aligned_count) == [0, 1, 1, 1, 1, 1]
+    h = np.array([-0.7])
+    res = train_ensemble(h[np.newaxis], cfg, RandomStream(cfg.seed, "t"), record_trace=True)
+    assert np.array_equal(res.weights[0], [-1.0])
+    assert res.gain[0] == pytest.approx([-0.7, 0.7, 0.7, 0.7, 0.7, 0.7])
+    assert list(res.accepted[0]) == [False, True, False, False, False, False]
+    assert list(res.aligned_count[0]) == [0, 1, 1, 1, 1, 1]
 
 
 def test_gain_is_monotone_and_capped(make_config):
@@ -244,24 +243,27 @@ def test_gain_is_monotone_and_capped(make_config):
     gen = RandomStream(cfg.seed, "h").generator()
     for trial in range(20):
         h = gen.standard_normal(cfg.N)
-        _, trace = train_group(h, cfg, RandomStream(cfg.seed, f"t/{trial}"))
-        assert np.all(np.diff(trace.gain) >= 0)
+        res = train_ensemble(
+            h[np.newaxis], cfg, RandomStream(cfg.seed, f"t/{trial}"), record_trace=True
+        )
+        gain, aligned = res.gain[0], res.aligned_count[0]
+        assert np.all(np.diff(gain) >= 0)
         ceiling = np.abs(h).sum()
-        assert np.all(trace.gain <= ceiling + 1e-12)
-        at_cap = np.isclose(trace.gain, ceiling)
-        assert np.array_equal(at_cap, trace.aligned_count == cfg.N)
+        assert np.all(gain <= ceiling + 1e-12)
+        assert np.array_equal(np.isclose(gain, ceiling), aligned == cfg.N)
 
 
 def test_absorption_is_permanent(make_config):
     cfg = make_config(N=4, k_o=40.0, seed=21)
     gen = RandomStream(cfg.seed, "h").generator()
     h = gen.standard_normal(cfg.N)
-    _, trace = train_group(h, cfg, RandomStream(cfg.seed, "t"))
-    hits = np.flatnonzero(trace.aligned_count == cfg.N)
+    res = train_ensemble(h[np.newaxis], cfg, RandomStream(cfg.seed, "t"), record_trace=True)
+    aligned = res.aligned_count[0]
+    hits = np.flatnonzero(aligned == cfg.N)
     assert hits.size > 0  # long block at N=4 reaches sign(h)
     first = hits[0]
-    assert np.all(trace.aligned_count[first:] == cfg.N)
-    assert np.allclose(trace.gain[first:], np.abs(h).sum())
+    assert np.all(aligned[first:] == cfg.N)
+    assert np.allclose(res.gain[0, first:], np.abs(h).sum())
 
 
 _CHANNEL_ENTRY = st.floats(1e-3, 1e3).flatmap(lambda x: st.sampled_from([x, -x]))
@@ -308,11 +310,11 @@ def test_trajectory_is_scale_equivariant(make_config):
     cfg = make_config(N=32, k_o=5.0, seed=31)
     h = RandomStream(cfg.seed, "h").generator().standard_normal(cfg.N)
     stream = RandomStream(cfg.seed, "shared")
-    w1, tr1 = train_group(h, cfg, stream)
-    w2, tr2 = train_group(3.7 * h, cfg, stream)
-    assert np.array_equal(w1, w2)
-    assert np.array_equal(tr1.accepted, tr2.accepted)
-    assert np.allclose(tr2.gain, 3.7 * tr1.gain, rtol=1e-12)
+    r1 = train_ensemble(h[np.newaxis], cfg, stream, record_trace=True)
+    r2 = train_ensemble(3.7 * h[np.newaxis], cfg, stream, record_trace=True)
+    assert np.array_equal(r1.weights, r2.weights)
+    assert np.array_equal(r1.accepted, r2.accepted)
+    assert np.allclose(r2.gain, 3.7 * r1.gain, rtol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -434,35 +436,26 @@ def test_ensemble_matches_the_reference_loop_bit_for_bit(
             assert np.array_equal(_bits(got), _bits(want))
 
 
-def test_ensemble_batch_of_one_matches_reference_path(make_config):
-    for mode in ("perfect", "noisy"):
-        cfg = make_config(N=12, k_o=8.0, seed=41, estimation_mode=mode, T_f=10)
-        h = RandomStream(cfg.seed, "h").generator().standard_normal(cfg.N)
-        stream = RandomStream(cfg.seed, "twin")
-        w_ref, tr_ref = train_group(h, cfg, stream)
-        res = train_ensemble(h[np.newaxis, :], cfg, stream, record_trace=True)
-        assert np.array_equal(res.weights[0], w_ref)
-        assert np.array_equal(res.gain[0], tr_ref.gain)
-        assert np.array_equal(res.accepted[0], tr_ref.accepted)
-        assert np.array_equal(res.aligned_count[0], tr_ref.aligned_count)
-
-
-def test_network_training_reduces_to_group_training_at_m1(make_config):
-    cfg = make_config(M=1, N=6, k_o=4.0, seed=51)
-    h = RandomStream(cfg.seed, "ch").generator().standard_normal((1, 1, cfg.N))
+@pytest.mark.parametrize("mode", ["perfect", "noisy"])
+@pytest.mark.parametrize("M", [1, 3])
+def test_network_training_is_one_ensemble_call_over_the_own_links(make_config, M, mode):
+    cfg = make_config(M=M, N=6, k_o=4.0, seed=51, estimation_mode=mode, T_f=10)
+    h = RandomStream(cfg.seed, "ch").generator().standard_normal((M, M, cfg.N))
     stream = RandomStream(cfg.seed, "net")
-    weights, traces = train_network(ChannelRealization(h), cfg, stream)
-    w_ref, tr_ref = train_group(h[0, 0], cfg, stream.child("group/0"))
-    assert np.array_equal(weights[0], w_ref)
-    assert np.array_equal(traces[0].gain, tr_ref.gain)
+    res = train_network(ChannelRealization(h), cfg, stream)
+    m = np.arange(M)
+    ref = train_ensemble(h[m, m, :], cfg, stream, record_trace=True)
+    for field in ("weights", "final_gain", "gain", "aligned_count", "accepted"):
+        assert np.array_equal(getattr(res, field), getattr(ref, field)), field
 
 
 def test_network_total_frames_and_dimension_check(make_config):
     cfg = make_config(M=3, N=5, k_o=4.0, seed=61)
     h = RandomStream(cfg.seed, "ch").generator().standard_normal((3, 3, 5))
-    weights, traces = train_network(ChannelRealization(h), cfg, RandomStream(cfg.seed, "net"))
-    assert weights.shape == (3, 5)
-    assert sum(t.gain.size for t in traces) == cfg.M * cfg.block_frames
+    res = train_network(ChannelRealization(h), cfg, RandomStream(cfg.seed, "net"))
+    assert res.weights.shape == (3, 5)
+    assert res.gain.shape == res.aligned_count.shape == res.accepted.shape == (3, cfg.block_frames)
+    assert res.gain.size == cfg.M * cfg.block_frames
     with pytest.raises(DimensionError):
         train_network(ChannelRealization(h), cfg.replace(M=2), RandomStream(0, "x"))
 
@@ -546,10 +539,11 @@ def test_network_chunk_stream_layout_is_pinned(make_config):
 
 def test_run_group_final_gains_deterministic(make_config):
     cfg = make_config(N=10, k_o=5.0, seed=111, trials=300)
-    g1, s1 = run_group_final_gains(cfg, RandomStream(cfg.seed, "fin"))
-    g2, s2 = run_group_final_gains(cfg, RandomStream(cfg.seed, "fin"), workers=2)
-    assert np.array_equal(g1, g2)
-    assert np.array_equal(s1, s2)
+    r1 = run_convergence(cfg, RandomStream(cfg.seed, "fin"))
+    r2 = run_convergence(cfg, RandomStream(cfg.seed, "fin"), workers=2)
+    g1, s1 = r1.gain[:, 0, -1], r1.abs_sum[:, 0]
+    assert np.array_equal(g1, r2.gain[:, 0, -1])
+    assert np.array_equal(s1, r2.abs_sum[:, 0])
     assert np.all(g1 <= s1 + 1e-12)
 
 
@@ -557,7 +551,7 @@ def test_epsilon_level_energy_heuristic(make_config):
     # Long blocks should leave the mean gain close to the ceiling:
     # a coarse version of the epsilon-level guarantee at small scale.
     cfg = make_config(N=30, k_o=20.0, seed=121, trials=100)
-    gains, ceilings = run_group_final_gains(cfg, RandomStream(cfg.seed, "fin"))
+    gains = run_convergence(cfg, RandomStream(cfg.seed, "fin")).gain[:, 0, -1]
     assert gains.mean() >= (1 - 2 * 0.1) * cfg.N * abs_moment()
 
 
