@@ -146,7 +146,8 @@ def outage_bound(N: int, config: NetworkConfig) -> BoundReport:
 
     Rejected, in this order: N < 25 (DomainError), eps >= epsilon_max()
     (InfeasibleEpsilonError), N > 2^53 (DomainError), a k3 beyond the float
-    range (DomainError), and k1 <= k2 at this N (InfeasibleEpsilonError).
+    range (DomainError), k1 <= k2 at this N (InfeasibleEpsilonError), and a
+    SINR threshold so small that the rate rounds to 0 (DomainError).
     """
     if N < 25:
         raise DomainError(f"outage_bound requires N >= 25 (asymptotic regime), got {N}")
@@ -177,6 +178,11 @@ def outage_bound(N: int, config: NetworkConfig) -> BoundReport:
         )
     c_1 = _rate_numerator(eps) / max(interferers, 1)
     snr_threshold = c_1 * float(N) ** (1.0 - config.delta) if interferers else (k1 - k2) ** 2 / k3
+    if 1.0 + snr_threshold == 1.0:
+        raise DomainError(
+            f"the rate rounds to 0 at N={N}: the SINR threshold {snr_threshold:.6g} "
+            f"is below the float resolution of 1 + SINR"
+        )
 
     s1 = (1.0 - eps) * N
     term1 = math.exp(s1 * (1.0 + math.log(k1 / s1) + 0.5 * math.log(2.0 / math.pi)))

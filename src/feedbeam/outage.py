@@ -9,8 +9,8 @@ Two weight modes are supported: ``trained`` runs the actual training
 algorithm, ``idealized`` starts from sign(h) with exactly round(epsilon_o * N)
 uniformly chosen sources reversed per group, the premise of the bound.
 Outage reduces each trial to link 0's two sufficient statistics: its own
-amplitude s, from one-group ``training.network_chunk`` networks (group 0
-trained in trained mode), and its interference power y, one N * chi^2_{M-1}
+amplitude s, from one-group ``training.network_chunk`` networks that train
+in trained mode only, and its interference power y, one N * chi^2_{M-1}
 draw per trial under ``chunk/{c}/cross``, where the probe draws its cross
 channels too. SINR comes from them by one formula, ``_sinr``. ``plan_outage``
 refuses an outage run before any draw, and the probe plans every N first.
@@ -42,8 +42,7 @@ __all__ = [
     "interference_scaling_probe",
 ]
 
-_MODE_GROUPS = {"trained": (0,), "idealized": ()}  # the groups each weights mode trains
-WEIGHTS_MODES = tuple(_MODE_GROUPS)
+WEIGHTS_MODES = ("trained", "idealized")
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ def _outage_count(
     M: int,
     config: NetworkConfig,
     h: np.ndarray,
-    trained: list[EnsembleResult],
+    trained: EnsembleResult | None,
     sub: RandomStream,
 ) -> int:
     """Trials of one chunk of one-group networks whose link 0, among M groups, is in outage.
@@ -113,12 +112,12 @@ def _outage_count(
     A chunk that trains nothing (idealized weights) gets ``h`` as row blocks
     (see ``training.network_chunk``), each reduced to its own-link amplitudes in place.
     """
-    if not trained:
+    if trained is None:
         k = config.reverse_count
         # A uniform k-subset of the iid |h_j|, chosen apart from h, has the law of the first k.
         s = np.concatenate([_idealized_amplitude(block[:, 0, 0, :], k) for block in h])
     else:
-        s = trained[0].final_gain
+        s = trained.final_gain
     # Group r's weights depend only on h[r, r, :] and its own training, both
     # independent of h[0, r, :], and negating N(0, 1) entries keeps them N(0, 1):
     # so c[0, r] = h[0, r, :] . w[r] is N(0, N) for r != 0, iid and apart from s,
@@ -135,7 +134,7 @@ def plan_outage(config: NetworkConfig, mode: str) -> list[int]:
     its one-group networks (``training.plan_networks``)."""
     if mode not in WEIGHTS_MODES:
         raise ConfigError(f"weights mode must be one of {WEIGHTS_MODES}, got {mode!r}")
-    return plan_networks(config.replace(M=1), _MODE_GROUPS[mode])
+    return plan_networks(config.replace(M=1), mode == "trained")
 
 
 def _idealized_amplitude(h: np.ndarray, k: int) -> np.ndarray:
@@ -282,7 +281,7 @@ def estimate_outage(
         raise DomainError(f"rate must be > 0, got {rate!r}")
     plan_outage(config, mode)
     count_chunk = partial(_outage_count, rate, config.M)
-    parts = map_networks(count_chunk, config.replace(M=1), stream, _MODE_GROUPS[mode], workers)
+    parts = map_networks(count_chunk, config.replace(M=1), stream, mode == "trained", workers)
     count = sum(parts)
     p_hat = count / config.trials
     ci_low, ci_high = clopper_pearson(count, config.trials)
@@ -330,10 +329,10 @@ class ProbeResult:
 
 
 def _probe_sums(
-    config: NetworkConfig, h: np.ndarray, trained: list[EnsembleResult], sub: RandomStream
+    config: NetworkConfig, h: np.ndarray, trained: EnsembleResult, sub: RandomStream
 ) -> tuple[float, float, float]:
     """Sums over one chunk of single-group networks seen through a cross channel."""
-    w = trained[0].weights[:, np.newaxis]
+    w = trained.weights[:, np.newaxis]
     cross = sub.child("cross").generator().standard_normal(h.shape)
     v = link_amplitudes(cross, w)
     ctrl = cross.sum(axis=-1)
@@ -359,10 +358,10 @@ def interference_scaling_probe(
         raise ConfigError(f"N_list entries must be distinct, got {list(N_list)!r}")
     points = [config.replace(M=1, N=int(n)) for n in N_list]
     for cfg in points:  # every point is planned before any draw
-        plan_networks(cfg, [0])
+        plan_networks(cfg, True)
     rows = []
     for cfg in points:
-        parts = map_networks(_probe_sums, cfg, stream.child(f"N/{cfg.N}"), [0], workers)
+        parts = map_networks(_probe_sums, cfg, stream.child(f"N/{cfg.N}"), True, workers)
         means = np.sum(parts, axis=0) / [cfg.trials, cfg.trials, cfg.trials * cfg.N]
         rows.append(ProbeRow(cfg.N, cfg.trials, *means.tolist()))
     slope = float(

@@ -16,6 +16,7 @@ amplitudes of ``channel.link_amplitudes``. Its mean has a closed form,
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -120,6 +121,11 @@ def compare_protocols(sigma_I2: float, config: NetworkConfig, R: float) -> Proto
     t_f_i = config.T_f * ratio
     bits_modified = R * config.k_o * config.N * t_f_i * config.M * (config.M - 1) / 2.0
     bits_original = R * config.k_o * config.M**2 * config.N * (t_f_i - config.T_f)
+    if not (math.isfinite(bits_modified) and math.isfinite(bits_original)):
+        raise DomainError(
+            f"the protocols' bit counts are too large for a float, got an M of "
+            f"{config.M.bit_length()} bits and sigma_I^2 = {sigma_I2:.6g}"
+        )
     lhs = sigma_I2 / config.N_o
     rhs = 1.0 - 2.0 / (config.M + 1)
     return ProtocolReport(

@@ -5,7 +5,7 @@ Every source of randomness in the package is a Philox generator keyed by
 statistically independent streams and the draws from one stream never
 depend on how many other streams were consumed, in which order, or on how
 many workers ran them. Labels form a path-like hierarchy, e.g.
-``"outage/chunk/17"`` or ``"train/group/2/perturb"``.
+``"outage/chunk/17"`` or ``"conv/chunk/2/train/perturb"``.
 """
 
 from __future__ import annotations

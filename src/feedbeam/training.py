@@ -29,8 +29,10 @@ The exact Markov chain in ``markov`` is the independent check of this law.
 
 Monte Carlo runs over random networks share one plan, ``plan_networks``,
 which sizes their chunks and refuses a run before any draw, and one chunk
-primitive, ``network_chunk``, with a reducer per command; a chunk that trains
-no group draws its channels in row blocks of one small buffer.
+primitive, ``network_chunk``, with a reducer per command. A chunk trains the
+own links of all its networks in one ``train_ensemble`` call, as
+``train_network`` does for one network, or trains nothing and draws its
+channels in row blocks of one small buffer.
 ``ensemble_gain_stats`` draws no networks and keeps its own chunk.
 """
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -61,13 +63,13 @@ __all__ = [
 # stay near 64 kB each unless B alone is larger.
 FLIP_BLOCK = 8192
 
-# Bytes of the one buffer that a chunk training no group draws its channels
+# Bytes of the one buffer that a chunk training nothing draws its channels
 # into, a block of rows at a time (at least one row per block).
 SLICE_BYTES = 1 << 20
 
 # reduce(config, h, trained, chunk stream) -> one chunk's result; see network_chunk.
 Reducer = Callable[
-    [NetworkConfig, "np.ndarray | Iterator[np.ndarray]", list["EnsembleResult"], RandomStream], Any
+    [NetworkConfig, "np.ndarray | Iterator[np.ndarray]", "EnsembleResult | None", RandomStream], Any
 ]
 
 
@@ -273,54 +275,51 @@ def network_chunk(
     stream: RandomStream,
     chunk_index: int,
     size: int,
-    groups: Sequence[int],
+    train: bool,
     record_trace: bool,
 ) -> Any:
-    """Draw one chunk of networks, train the listed groups, and reduce them.
+    """Draw one chunk of networks, train their own links if ``train``, and reduce them.
 
     Chunk c draws its (size, M, M, N) channel tensor from
-    ``chunk/{c}/channels`` and trains group i on its own links h[:, i, i, :]
-    from ``chunk/{c}/train/group/{i}`` for one full block, recording every
+    ``chunk/{c}/channels``. Training is one lockstep ``train_ensemble`` call
+    from ``chunk/{c}/train`` over the size * M own links, row t * M + i
+    holding trial t's group i, for one full block each, recording every
     frame iff ``record_trace``. ``reduce(config, h, trained, sub)`` runs in
     the same process, so only its result crosses back from a worker;
     ``sub`` is the ``chunk/{c}`` stream, for draws of the reducer's own.
 
-    A chunk that trains no group never holds its whole tensor: ``h`` is then
+    A chunk that trains nothing never holds its whole tensor: ``h`` is then
     an iterator over its consecutive row blocks (see ``_row_blocks``), which
-    the reducer may overwrite, and ``trained`` is empty.
+    the reducer may overwrite, and ``trained`` is None.
     """
     sub = stream.child(f"chunk/{chunk_index}")
     gen = sub.child("channels").generator()
     shape = (config.M, config.M, config.N)
-    if not groups:
-        return reduce(config, _row_blocks(gen, size, shape), [], sub)
+    if not train:
+        return reduce(config, _row_blocks(gen, size, shape), None, sub)
     h = gen.standard_normal((size, *shape))
-    trained = [
-        train_ensemble(
-            h[:, i, i, :], config, sub.child(f"train/group/{i}"), record_trace=record_trace
-        )
-        for i in groups
-    ]
+    # The own links h[:, i, i, :] are every (M + 1)-th of the M * M links: a view at M = 1.
+    H = h.reshape(size, -1, config.N)[:, :: config.M + 1].reshape(-1, config.N)
+    trained = train_ensemble(H, config, sub.child("train"), record_trace=record_trace)
     return reduce(config, h, trained, sub)
 
 
-def plan_networks(
-    config: NetworkConfig, groups: Sequence[int], record_trace: bool = False
-) -> list[int]:
+def plan_networks(config: NetworkConfig, train: bool, record_trace: bool = False) -> list[int]:
     """The chunk sizes that ``map_networks`` runs, refused before any draw.
 
-    Trials that train a group take TRIAL_CHUNK per chunk, others TRAJ_CHUNK,
-    and ``chunk_sizes`` refuses too many chunks. The largest chunk's channels,
+    Trials that train take TRIAL_CHUNK per chunk, others TRAJ_CHUNK, and
+    ``chunk_sizes`` refuses too many chunks. The largest chunk's channels,
     (size, M, M, N) doubles, and with ``record_trace`` its traces, 13 bytes per
-    trained group, trial and frame, take at most CHUNK_BYTES_LIMIT together.
-    Not counted: training's copy ``S = H.copy()`` of each trained group's
-    links, and the probe's cross draw, which has the shape of the channels.
+    group, trial and frame, take at most CHUNK_BYTES_LIMIT together.
+    Not counted: training's ``S``, (size * M, N) doubles, the copy of the own
+    links it trains on, as large but made only at M >= 2, and the probe's
+    cross draw, which has the shape of the channels.
     """
-    chunk = TRIAL_CHUNK if groups else TRAJ_CHUNK
+    chunk = TRIAL_CHUNK if train else TRAJ_CHUNK
     largest = min(chunk, config.trials)
     nbytes = largest * config.M**2 * config.N * 8
     if record_trace:
-        nbytes += largest * len(groups) * config.block_frames * 13
+        nbytes += largest * config.M * config.block_frames * 13
     what = "channels and traces" if record_trace else "channels"
     check_bytes(nbytes, f"a chunk's {what} at N={config.N} take")
     return chunk_sizes(config.trials, chunk)
@@ -330,25 +329,22 @@ def map_networks(
     reduce: Reducer,
     config: NetworkConfig,
     stream: RandomStream,
-    groups: Sequence[int],
+    train: bool,
     workers: int = 1,
     record_trace: bool = False,
 ) -> list:
     """``network_chunk`` over ``config.trials`` networks, one result per chunk.
 
     The chunks are those of ``plan_networks``, which refuses a run first. A
-    chunk that trains a group draws its channels at once, one that trains
-    none draws them in row blocks.
+    chunk that trains draws its channels at once, one that trains nothing
+    draws them in row blocks.
 
     ``reduce`` must be picklable (a module-level function or a partial of
     one) so that chunks can run on a process pool.
     """
-    # The plan reads only how many groups there are, so it refuses a huge
-    # ``range`` of them before their indices are held.
-    sizes = plan_networks(config, groups, record_trace)
-    groups = tuple(groups)
+    sizes = plan_networks(config, train, record_trace)
     tasks = [
-        (reduce, config, stream, c, size, groups, record_trace) for c, size in enumerate(sizes)
+        (reduce, config, stream, c, size, train, record_trace) for c, size in enumerate(sizes)
     ]
     return map_chunks(network_chunk, tasks, workers)
 
@@ -368,14 +364,15 @@ class ConvergenceResult:
 
 
 def _traces(
-    config: NetworkConfig, h: np.ndarray, trained: list[EnsembleResult], sub: RandomStream
+    config: NetworkConfig, h: np.ndarray, trained: EnsembleResult, sub: RandomStream
 ) -> tuple[np.ndarray, ...]:
     """One chunk's ``ConvergenceResult`` fields, in field order."""
     m = np.arange(config.M)
+    shape = (h.shape[0], config.M, -1)
     return (
-        np.stack([res.gain for res in trained], axis=1),
-        np.stack([res.aligned_count for res in trained], axis=1),
-        np.stack([res.accepted for res in trained], axis=1),
+        trained.gain.reshape(shape),
+        trained.aligned_count.reshape(shape),
+        trained.accepted.reshape(shape),
         np.abs(h[:, m, m, :]).sum(axis=2),
     )
 
@@ -384,7 +381,7 @@ def run_convergence(
     config: NetworkConfig, stream: RandomStream, workers: int = 1
 ) -> ConvergenceResult:
     """Train ``config.trials`` random networks and trace every frame of each block."""
-    parts = map_networks(_traces, config, stream, range(config.M), workers, record_trace=True)
+    parts = map_networks(_traces, config, stream, True, workers, record_trace=True)
     return ConvergenceResult(*(np.concatenate(a, axis=0) for a in zip(*parts)))
 
 

@@ -647,17 +647,24 @@ def test_protocol_compare_runs_at_huge_m_in_little_memory(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "M, message",
+    "overrides, message",
     [
-        (2**600, "M^2 is too large for a float, got an M of 601 bits"),
-        (2**1100, "M is too large for a float, got an M of 1101 bits"),
+        ({"M": 2**600}, "M^2 is too large for a float, got an M of 601 bits"),
+        ({"M": 2**1100}, "M is too large for a float, got an M of 1101 bits"),
+        ({"M": 2**511}, "the protocols' bit counts are too large for a float, got an M of "
+                        "512 bits and sigma_I^2 = 3.35195e+155"),
+        ({"M": 4, "P": 1e308}, "the protocols' bit counts are too large for a float, got an M of "
+                               "3 bits and sigma_I^2 = inf"),
     ],
-    ids=["M^2", "M"],
+    ids=["M^2", "M", "bits", "sigma"],
 )
-def test_protocol_compare_refuses_m_beyond_float_range(tmp_path, monkeypatch, capsys, M, message):
-    # The sequential protocol's bits count M^2 N slots, and sigma_I^2 is P M / 2.
+def test_protocol_compare_refuses_m_beyond_float_range(
+    tmp_path, monkeypatch, capsys, overrides, message
+):
+    # The sequential protocol's bits count M^2 N slots, and sigma_I^2 is P M / 2:
+    # the bit counts grow like M^3, and like sigma_I^2.
     monkeypatch.chdir(tmp_path)
-    doc = base_doc(M=M, N=100)
+    doc = base_doc(N=100, **overrides)
     doc["command"] = "protocol-compare"
     assert main(["--config", write_doc(tmp_path, doc)]) == EXIT_CONFIG
     (line,) = capsys.readouterr().err.splitlines()
@@ -665,9 +672,33 @@ def test_protocol_compare_refuses_m_beyond_float_range(tmp_path, monkeypatch, ca
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
+@pytest.mark.parametrize("command", ["bounds", "outage"])
+@pytest.mark.parametrize(
+    "overrides, threshold",
+    [({"M": 2**511, "P": 1.0}, "7.95575e-155"), ({"M": 2**600, "P": 1.0}, "1.28532e-181"),
+     ({"M": 1, "P": 1e-300}, "2.94605e-303")],
+    ids=["M=2^511", "M=2^600", "P=1e-300"],
+)
+def test_a_rate_that_rounds_to_zero_is_refused(
+    tmp_path, monkeypatch, capsys, command, overrides, threshold
+):
+    # 1 + SINR threshold == 1 in floats, so (1/2) log2(1 + threshold) would read 0.
+    monkeypatch.chdir(tmp_path)
+    doc = base_doc(N=100, **overrides)
+    doc["command"] = command
+    assert main(["--config", write_doc(tmp_path, doc)]) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "invalid-config",
+        "message": f"the rate rounds to 0 at N=100: the SINR threshold {threshold} "
+        "is below the float resolution of 1 + SINR",
+    }
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
 def test_convergence_at_huge_m_is_refused_at_once(tmp_path, monkeypatch, capsys):
     # The chunk plan needs only the number of groups, so 2^40 of them are
-    # refused before a tuple of their indices is built.
+    # refused before any draw.
     monkeypatch.chdir(tmp_path)
     doc = base_doc(M=2**40, N=100, trials=1)
     doc["command"] = "convergence"

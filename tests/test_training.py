@@ -19,6 +19,7 @@ from feedbeam import (
     RandomStream,
     abs_moment,
     ensemble_gain_stats,
+    generate_channels,
     run_convergence,
     train_ensemble,
     train_network,
@@ -522,19 +523,39 @@ def test_run_convergence_worker_count_does_not_change_results(make_config):
 
 def test_network_chunk_stream_layout_is_pinned(make_config):
     # Chunk 0 redrawn by hand: its channel tensor from chunk/0/channels and
-    # group i trained from chunk/0/train/group/i. Every Monte Carlo command
-    # reads its networks through this layout.
+    # one lockstep training of all own links from chunk/0/train, row t*M + i
+    # holding trial t's group i. Every Monte Carlo command reads its networks
+    # through this layout.
     cfg = make_config(M=2, N=6, k_o=3.0, seed=131, trials=5)
     stream = RandomStream(cfg.seed, "layout")
     res = run_convergence(cfg, stream)
     chunk = stream.child("chunk/0")
     h = chunk.child("channels").generator().standard_normal((cfg.trials, cfg.M, cfg.M, cfg.N))
-    for i in range(cfg.M):
-        ref = train_ensemble(
-            h[:, i, i, :], cfg, chunk.child(f"train/group/{i}"), record_trace=True
-        )
-        assert np.array_equal(res.gain[:, i], ref.gain)
-        assert np.array_equal(res.abs_sum[:, i], np.abs(h[:, i, i, :]).sum(axis=1))
+    m = np.arange(cfg.M)
+    own = h[:, m, m, :].reshape(-1, cfg.N)
+    ref = train_ensemble(own, cfg, chunk.child("train"), record_trace=True)
+    for t in range(cfg.trials):
+        for i in range(cfg.M):
+            row = t * cfg.M + i
+            assert np.array_equal(res.gain[t, i], ref.gain[row])
+            assert np.array_equal(res.aligned_count[t, i], ref.aligned_count[row])
+            assert np.array_equal(res.accepted[t, i], ref.accepted[row])
+            assert res.abs_sum[t, i] == np.abs(own[row]).sum()
+
+
+@pytest.mark.parametrize("mode", ["perfect", "noisy"])
+@pytest.mark.parametrize("M", [1, 3])
+def test_one_trial_convergence_is_train_network(make_config, M, mode):
+    # A one-network chunk trains exactly as train_network does on the same draws.
+    cfg = make_config(M=M, N=6, k_o=4.0, seed=141, estimation_mode=mode, T_f=10, trials=1)
+    stream = RandomStream(cfg.seed, "one")
+    res = run_convergence(cfg, stream)
+    ref = train_network(
+        generate_channels(cfg, stream.child("chunk/0/channels")), cfg, stream.child("chunk/0/train")
+    )
+    assert np.array_equal(res.gain[0], ref.gain)
+    assert np.array_equal(res.aligned_count[0], ref.aligned_count)
+    assert np.array_equal(res.accepted[0], ref.accepted)
 
 
 def test_run_group_final_gains_deterministic(make_config):
@@ -556,18 +577,18 @@ def test_epsilon_level_energy_heuristic(make_config):
 
 
 def _chunk_trials(config, h, trained, sub):
-    # A chunk that trains no group hands its reducer the channels as row blocks.
-    return h.shape[0] if trained else sum(len(block) for block in h)
+    # A chunk that trains nothing hands its reducer the channels as row blocks.
+    return h.shape[0] if trained is not None else sum(len(block) for block in h)
 
 
 def test_map_networks_chunk_size_follows_training(make_config):
-    # Runs that train a group take TRIAL_CHUNK trials per chunk, others TRAJ_CHUNK.
+    # Runs that train take TRIAL_CHUNK trials per chunk, others TRAJ_CHUNK.
     cfg = make_config(M=1, N=2, k_o=1.0, trials=TRIAL_CHUNK + 1)
     stream = RandomStream(cfg.seed, "chunks")
-    assert map_networks(_chunk_trials, cfg, stream, [0]) == plan_networks(cfg, [0])
-    assert plan_networks(cfg, [0]) == [TRIAL_CHUNK, 1]
+    assert map_networks(_chunk_trials, cfg, stream, True) == plan_networks(cfg, True)
+    assert plan_networks(cfg, True) == [TRIAL_CHUNK, 1]
     assert TRAJ_CHUNK > cfg.trials
-    assert map_networks(_chunk_trials, cfg, stream, ()) == plan_networks(cfg, ()) == [cfg.trials]
+    assert map_networks(_chunk_trials, cfg, stream, False) == plan_networks(cfg, False) == [cfg.trials]
 
 
 def _spy_chunk_sizes(monkeypatch):
@@ -583,40 +604,40 @@ def _spy_chunk_sizes(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("groups", [[0], ()], ids=["trained", "untrained"])
-def test_map_networks_refuses_a_chunk_over_the_byte_limit(make_config, monkeypatch, groups):
+@pytest.mark.parametrize("train", [True, False], ids=["trained", "untrained"])
+def test_map_networks_refuses_a_chunk_over_the_byte_limit(make_config, monkeypatch, train):
     # A chunk of 3 networks at M = 2, N = 5 draws 3 * 2 * 2 * 5 doubles.
     monkeypatch.setattr(feedbeam.util, "CHUNK_BYTES_LIMIT", 3 * 2 * 2 * 5 * 8)
     sizes = _spy_chunk_sizes(monkeypatch)
     stream = RandomStream(1, "cap")
     cfg = make_config(M=2, N=5, k_o=1.0, trials=3)
-    assert map_networks(_chunk_trials, cfg, stream, groups) == [3]
-    assert sizes == [plan_networks(cfg, groups)] == [[3]]
+    assert map_networks(_chunk_trials, cfg, stream, train) == [3]
+    assert sizes == [plan_networks(cfg, train)] == [[3]]
     with pytest.raises(CapacityError, match="N=6 take 576 bytes, over 480"):
-        map_networks(_chunk_trials, cfg.replace(N=6), stream, groups)
+        map_networks(_chunk_trials, cfg.replace(N=6), stream, train)
     with pytest.raises(CapacityError, match="N=6 take 576 bytes, over 480"):
-        plan_networks(cfg.replace(N=6), groups)
+        plan_networks(cfg.replace(N=6), train)
     # The first chunk is the largest, so more trials than one chunk holds are refused too.
     more = cfg.replace(trials=max(TRIAL_CHUNK, TRAJ_CHUNK) + 1)
     with pytest.raises(CapacityError):
-        map_networks(_chunk_trials, more, stream, groups)
+        map_networks(_chunk_trials, more, stream, train)
     assert sizes == [[3]]
 
 
 def test_map_networks_counts_trace_bytes_against_the_limit(make_config, monkeypatch):
-    # Recording traces adds 13 bytes per trained group, trial and frame: here
+    # Recording traces adds 13 bytes per group, trial and frame: here
     # 3 trials x 2 groups x 5 frames on top of the channels' 480 bytes.
     cfg = make_config(M=2, N=5, k_o=1.0, trials=3)
     stream = RandomStream(1, "cap")
     sizes = _spy_chunk_sizes(monkeypatch)
     monkeypatch.setattr(feedbeam.util, "CHUNK_BYTES_LIMIT", 480 + 3 * 2 * 5 * 13)
-    assert map_networks(_chunk_trials, cfg, stream, [0, 1], record_trace=True) == [3]
-    assert sizes == [plan_networks(cfg, [0, 1], record_trace=True)] == [[3]]
+    assert map_networks(_chunk_trials, cfg, stream, True, record_trace=True) == [3]
+    assert sizes == [plan_networks(cfg, True, record_trace=True)] == [[3]]
     monkeypatch.setattr(feedbeam.util, "CHUNK_BYTES_LIMIT", 480 + 3 * 2 * 5 * 13 - 1)
     with pytest.raises(CapacityError, match="channels and traces at N=5 take 870 bytes"):
-        map_networks(_chunk_trials, cfg, stream, [0, 1], record_trace=True)
-    assert map_networks(_chunk_trials, cfg, stream, [0, 1]) == [3]
-    assert sizes == [[3], plan_networks(cfg, [0, 1])] == [[3], [3]]
+        map_networks(_chunk_trials, cfg, stream, True, record_trace=True)
+    assert map_networks(_chunk_trials, cfg, stream, True) == [3]
+    assert sizes == [[3], plan_networks(cfg, True)] == [[3], [3]]
 
 
 @pytest.mark.parametrize(
