@@ -251,10 +251,11 @@ _CELL = {
 # integer column gets a lookup table. Beside the text, the writer holds one
 # block's cells, bytes and decoded text at a time. On the 512 000 rows of a
 # benchmark trace, blocks of 8192 to 32768 rows wrote CSV equally fast and
-# 65536 was slower; JSON, whose rows are four times wider, was 5-20 % faster
-# at 8192, but that would send a `t` column of more than 8192 frames to the
-# distinct path.
-_BLOCK_ROWS = 32768
+# 65536 was slower. 16384 rows peaked 1-2 MB lower than 32768 as CSV and
+# about 15 MB lower as JSON, whose rows are four times wider; 8192 peaked
+# 9 MB higher at one seed of six (glibc heap layout) and would send a `t`
+# column of more than 8192 frames to the distinct path.
+_BLOCK_ROWS = 16384
 # Characters per slice of the text that `_atomic_write` encodes and writes.
 _WRITE_CHARS = 1 << 20
 # A NUL would go with the padding of the byte matrix, and a lone surrogate has
@@ -690,8 +691,8 @@ def _cmd_protocol_compare(spec: ExperimentSpec, flags: _Flags) -> _Result:
             {**dataclasses.asdict(report), "N": n, "M": cfg_n.M, "rate_assumed": rate_assumed}
         )
         summary.append(
-            f"protocol-compare N={n} M={cfg_n.M} sigma_I2={report.sigma_I2:.4f} "
-            f"lhs={report.condition_lhs:.4f} rhs={report.condition_rhs:.4f} "
+            f"protocol-compare N={n} M={cfg_n.M} sigma_I2={report.sigma_I2:.4g} "
+            f"lhs={report.condition_lhs:.4g} rhs={report.condition_rhs:.4g} "
             f"modified_better={report.modified_better}"
         )
     return _per_n(spec, ["N", "M", *_fields(ProtocolReport), "rate_assumed"], docs, summary)

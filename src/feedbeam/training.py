@@ -122,8 +122,9 @@ class EnsembleResult:
     frame t, and present only when recording was requested: ``gain`` is the
     true combined amplitude sum_j h_j * alpha_j after frame t's update
     (frame 0 is initialization), ``aligned_count`` the number of sources
-    with h_j * alpha_j > 0, and ``accepted`` whether frame t's proposal was
-    kept (False at t = 0, where nothing is proposed).
+    with h_j * alpha_j > 0, held in ``np.min_scalar_type(N)``, and
+    ``accepted`` whether frame t's proposal was kept (False at t = 0, where
+    nothing is proposed).
     """
 
     weights: np.ndarray
@@ -179,7 +180,8 @@ def train_ensemble(
     rec_gain = rec_aligned = rec_accepted = None
     if record_trace:
         rec_gain = np.empty((B, total))
-        rec_aligned = np.empty((B, total), dtype=np.int32)
+        # Stored in the narrowest type that holds 0..N; `aligned` stays signed, so no update wraps.
+        rec_aligned = np.empty((B, total), dtype=np.min_scalar_type(N))
         rec_accepted = np.zeros((B, total), dtype=bool)
         aligned = (H > 0).sum(axis=1)
         rec_gain[:, 0] = gain
@@ -309,8 +311,10 @@ def plan_networks(config: NetworkConfig, train: bool, record_trace: bool = False
 
     Trials that train take TRIAL_CHUNK per chunk, others TRAJ_CHUNK, and
     ``chunk_sizes`` refuses too many chunks. The largest chunk's channels,
-    (size, M, M, N) doubles, and with ``record_trace`` its traces, 13 bytes per
-    group, trial and frame, take at most CHUNK_BYTES_LIMIT together.
+    (size, M, M, N) doubles, and with ``record_trace`` its traces, per group,
+    trial and frame 8 bytes of gain, one of acceptance and the itemsize of
+    ``np.min_scalar_type(N)`` for the aligned count (one byte up to N = 255),
+    take at most CHUNK_BYTES_LIMIT together.
     Not counted: training's ``S``, (size * M, N) doubles, the copy of the own
     links it trains on, as large but made only at M >= 2, and the probe's
     cross draw, which has the shape of the channels.
@@ -319,7 +323,8 @@ def plan_networks(config: NetworkConfig, train: bool, record_trace: bool = False
     largest = min(chunk, config.trials)
     nbytes = largest * config.M**2 * config.N * 8
     if record_trace:
-        nbytes += largest * config.M * config.block_frames * 13
+        per_frame = 8 + np.min_scalar_type(config.N).itemsize + 1
+        nbytes += largest * config.M * config.block_frames * per_frame
     what = "channels and traces" if record_trace else "channels"
     check_bytes(nbytes, f"a chunk's {what} at N={config.N} take")
     return chunk_sizes(config.trials, chunk)
@@ -380,9 +385,26 @@ def _traces(
 def run_convergence(
     config: NetworkConfig, stream: RandomStream, workers: int = 1
 ) -> ConvergenceResult:
-    """Train ``config.trials`` random networks and trace every frame of each block."""
+    """Train ``config.trials`` random networks and trace every frame of each block.
+
+    A one-chunk run returns that chunk's arrays, views of the kernel's own.
+    A run of several chunks copies each chunk into its rows of arrays sized
+    for the run and drops it once copied: the run's arrays fill as the
+    chunks are freed, so its peak is near its traces plus one chunk, not
+    twice its traces.
+    """
     parts = map_networks(_traces, config, stream, True, workers, record_trace=True)
-    return ConvergenceResult(*(np.concatenate(a, axis=0) for a in zip(*parts)))
+    if len(parts) == 1:
+        return ConvergenceResult(*parts[0])
+    out = [np.empty((config.trials, *a.shape[1:]), a.dtype) for a in parts[0]]
+    lo = 0
+    for c, chunk in enumerate(parts):
+        parts[c] = None
+        size = len(chunk[0])
+        for dst, src in zip(out, chunk):
+            dst[lo : lo + size] = src
+        lo += size
+    return ConvergenceResult(*out)
 
 
 def _gain_stats_chunk(

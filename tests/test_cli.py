@@ -752,7 +752,8 @@ def test_markov_verify_at_the_dense_limit_runs_in_little_memory(tmp_path):
 
 def test_convergence_refuses_traces_over_the_chunk_byte_limit(tmp_path, monkeypatch, capsys):
     # One trial's channels at N = 2^24 are 128 MiB, under the limit; its trace of
-    # k_o N = 10 * 2^24 frames at 13 bytes a frame is 2.03 GiB, over it.
+    # k_o N = 10 * 2^24 frames at 13 bytes a frame (8 of gain, a uint32 aligned
+    # count and 1 of acceptance) is 2.03 GiB, over it.
     def no_draw(self):
         raise AssertionError("a generator was created")
 
@@ -1248,6 +1249,19 @@ def test_protocol_compare_csv_columns(tmp_path):
     assert [r["modified_better"] for r in rows] == ["0", "0"]
 
 
+def test_protocol_compare_summary_stays_short_at_a_huge_power(tmp_path, capsys):
+    # sigma_I^2 = P M / 2 = 2e300: the summary line gives it, like the artifact,
+    # in a few significant digits, not as all 301 digits of the float.
+    doc = base_doc(M=4, N=100, P=1e300, epsilon_o=0.05)
+    doc["command"] = "protocol-compare"
+    out = tmp_path / "protocol.json"
+    assert main(["--config", write_doc(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+    (line,) = capsys.readouterr().out.splitlines()
+    assert len(line) <= 100, line
+    assert "sigma_I2=2e+300 lhs=2e+300 rhs=0.6 " in line
+    assert json.loads(out.read_text())["sigma_I2"] == 2e300
+
+
 # Every Monte Carlo command, each with more than one chunk so that two
 # workers really split the work, and protocol-compare, which draws nothing.
 _REPRODUCIBLE = {
@@ -1695,6 +1709,33 @@ def test_every_runner_writes_only_typed_columns(command, flags):
         assert len(rows[name]) == len(rows), name
     if command == "convergence":  # the index columns in the smallest unsigned type
         assert [rows[name].dtype for name in ("trial", "group", "t")] == [np.uint8] * 3
+
+
+@pytest.mark.parametrize("trials", [3, TRIAL_CHUNK + 4], ids=["one-chunk", "two-chunks"])
+def test_convergence_columns_are_views_of_the_run(monkeypatch, trials):
+    # The trace columns are the run's own arrays, and a one-chunk run's arrays
+    # are the training kernel's: the traces are held once, never copied.
+    runs, kernels = [], []
+
+    def spy(calls, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn(*args, **kwargs))
+            return calls[-1]
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "run_convergence", spy(runs, cli.run_convergence))
+    monkeypatch.setattr(
+        feedbeam.training, "train_ensemble", spy(kernels, feedbeam.training.train_ensemble)
+    )
+    doc = {"command": "convergence", **base_doc(M=2, N=4, k_o=2.0, trials=trials)}
+    rows, _, _ = cli._cmd_convergence(loads_config(json.dumps(doc)), _Flags(1, "idealized", None))
+    (res,) = runs
+    assert len(kernels) == (1 if trials <= TRIAL_CHUNK else 2)
+    for name in ("gain", "aligned_count", "accepted"):
+        assert np.shares_memory(rows[name], getattr(res, name)), name
+        shared = np.shares_memory(getattr(res, name), getattr(kernels[0], name))
+        assert shared == (len(kernels) == 1), name
 
 
 def test_convergence_artifacts_match_row_by_row_reference(tmp_path):

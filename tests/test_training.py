@@ -24,7 +24,14 @@ from feedbeam import (
     train_ensemble,
     train_network,
 )
-from feedbeam.training import FLIP_BLOCK, _flip_cells, map_networks, plan_networks
+from feedbeam.training import (
+    FLIP_BLOCK,
+    _flip_cells,
+    _traces,
+    map_networks,
+    network_chunk,
+    plan_networks,
+)
 from feedbeam.util import TRAJ_CHUNK, TRIAL_CHUNK
 
 
@@ -359,7 +366,7 @@ def _reference_train_ensemble(H, config, stream, n_frames, record_trace):
     rec_gain = rec_aligned = rec_accepted = None
     if record_trace:
         rec_gain = np.empty((B, total))
-        rec_aligned = np.empty((B, total), dtype=np.int32)
+        rec_aligned = np.empty((B, total), dtype=np.min_scalar_type(N))
         rec_accepted = np.zeros((B, total), dtype=bool)
         aligned = (H > 0).sum(axis=1)
         rec_gain[:, 0] = gain
@@ -521,6 +528,36 @@ def test_run_convergence_worker_count_does_not_change_results(make_config):
     assert np.array_equal(a.abs_sum, b.abs_sum)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_of_several_chunks_is_its_chunks_in_order(make_config, workers):
+    # Each chunk is copied into its own rows of the run's arrays: the run equals
+    # the concatenation of its chunks, each redrawn alone.
+    cfg = make_config(M=2, N=4, k_o=3.0, seed=151, trials=2 * TRIAL_CHUNK + 5)
+    stream = RandomStream(cfg.seed, "several")
+    res = run_convergence(cfg, stream, workers=workers)
+    sizes = plan_networks(cfg, True, record_trace=True)
+    assert len(sizes) == 3
+    parts = [
+        network_chunk(_traces, cfg, stream, c, size, True, True) for c, size in enumerate(sizes)
+    ]
+    for name, *chunks in zip(("gain", "aligned_count", "accepted", "abs_sum"), *parts):
+        got, want = getattr(res, name), np.concatenate(chunks)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("N, dtype", [(8, np.uint8), (300, np.uint16)])
+def test_aligned_count_is_held_in_the_narrowest_type(make_config, N, dtype):
+    # The count runs from 0 to N, so np.min_scalar_type(N) holds every value.
+    cfg = make_config(M=2, N=N, k_o=1.0, trials=2)
+    assert np.min_scalar_type(N) == dtype
+    res = run_convergence(cfg, RandomStream(cfg.seed, "narrow"))
+    assert res.aligned_count.dtype == dtype
+    H = RandomStream(cfg.seed, "h").generator().standard_normal((3, N))
+    trained = train_ensemble(H, cfg, RandomStream(cfg.seed, "t"), record_trace=True)
+    assert trained.aligned_count.dtype == dtype
+    assert np.array_equal(trained.aligned_count[:, -1], (H * trained.weights > 0).sum(axis=1))
+
+
 def test_network_chunk_stream_layout_is_pinned(make_config):
     # Chunk 0 redrawn by hand: its channel tensor from chunk/0/channels and
     # one lockstep training of all own links from chunk/0/train, row t*M + i
@@ -625,19 +662,28 @@ def test_map_networks_refuses_a_chunk_over_the_byte_limit(make_config, monkeypat
 
 
 def test_map_networks_counts_trace_bytes_against_the_limit(make_config, monkeypatch):
-    # Recording traces adds 13 bytes per group, trial and frame: here
-    # 3 trials x 2 groups x 5 frames on top of the channels' 480 bytes.
+    # Recording traces adds, per group, trial and frame, 8 bytes of gain, one of
+    # acceptance and the aligned count in the narrowest type that holds N, one
+    # byte at N = 5: here 3 trials x 2 groups x 5 frames on top of the channels'
+    # 480 bytes.
     cfg = make_config(M=2, N=5, k_o=1.0, trials=3)
     stream = RandomStream(1, "cap")
     sizes = _spy_chunk_sizes(monkeypatch)
-    monkeypatch.setattr(feedbeam.util, "CHUNK_BYTES_LIMIT", 480 + 3 * 2 * 5 * 13)
+    monkeypatch.setattr(feedbeam.util, "CHUNK_BYTES_LIMIT", 480 + 3 * 2 * 5 * 10)
     assert map_networks(_chunk_trials, cfg, stream, True, record_trace=True) == [3]
     assert sizes == [plan_networks(cfg, True, record_trace=True)] == [[3]]
-    monkeypatch.setattr(feedbeam.util, "CHUNK_BYTES_LIMIT", 480 + 3 * 2 * 5 * 13 - 1)
-    with pytest.raises(CapacityError, match="channels and traces at N=5 take 870 bytes"):
+    monkeypatch.setattr(feedbeam.util, "CHUNK_BYTES_LIMIT", 480 + 3 * 2 * 5 * 10 - 1)
+    with pytest.raises(CapacityError, match="channels and traces at N=5 take 780 bytes"):
         map_networks(_chunk_trials, cfg, stream, True, record_trace=True)
     assert map_networks(_chunk_trials, cfg, stream, True) == [3]
     assert sizes == [[3], plan_networks(cfg, True)] == [[3], [3]]
+    # At N = 300 the count is uint16, 11 bytes a frame beside 28800 bytes of channels.
+    wide = cfg.replace(N=300)
+    monkeypatch.setattr(feedbeam.util, "CHUNK_BYTES_LIMIT", 28800 + 3 * 2 * 300 * 11)
+    assert plan_networks(wide, True, record_trace=True) == [3]
+    monkeypatch.setattr(feedbeam.util, "CHUNK_BYTES_LIMIT", 28800 + 3 * 2 * 300 * 11 - 1)
+    with pytest.raises(CapacityError, match="channels and traces at N=300 take 48600 bytes"):
+        plan_networks(wide, True, record_trace=True)
 
 
 @pytest.mark.parametrize(
