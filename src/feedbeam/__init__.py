@@ -8,7 +8,7 @@ oracle at small N, evaluates the closed-form convergence and outage
 bounds, and validates those bounds by Monte Carlo.
 """
 
-from . import bounds, channel, config, errors, markov, outage, protocol, rng, training
+from . import bounds, channel, config, errors, markov, outage, protocol, rng, special, training
 from .bounds import *
 from .channel import *
 from .config import *
@@ -17,6 +17,7 @@ from .markov import *
 from .outage import *
 from .protocol import *
 from .rng import *
+from .special import *
 from .training import *
 
 __version__ = "0.1.0"
@@ -24,6 +25,8 @@ __version__ = "0.1.0"
 # Each module's __all__ is the one list of its public names.
 __all__ = [
     name
-    for module in (bounds, channel, config, errors, markov, outage, protocol, rng, training)
+    for module in (
+        bounds, channel, config, errors, markov, outage, protocol, rng, special, training
+    )
     for name in module.__all__
 ]

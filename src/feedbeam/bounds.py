@@ -1,9 +1,9 @@
 """Closed-form convergence and outage analytics.
 
 Everything here is a deterministic function of the scenario parameters:
-the inverse of the Gaussian tail function, the truncated-half-normal
-constant c_o and the training budget k_o that guarantee an epsilon-level
-aligned fraction in expectation, the feasibility ceiling for epsilon, and
+the truncated-half-normal constant c_o, read through ``special.q_inverse``,
+and the training budget k_o that guarantee an epsilon-level aligned
+fraction in expectation, the feasibility ceiling for epsilon, and
 ``outage_bound``. That one function computes the tail thresholds k1/k2/k3,
 the rate constant c_1, the rate schedule R(N) = (1/2) log2(1 + c_1
 N^(1-delta)), the three large-deviation terms and the finite-N and
@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 from .channel import abs_moment
 from .config import NetworkConfig
 from .errors import DomainError, InfeasibleEpsilonError
+from .special import q_inverse
 
 __all__ = [
-    "q_inverse",
     "c_o",
     "k_o",
     "epsilon_max",
@@ -30,7 +29,6 @@ __all__ = [
     "outage_bound",
 ]
 
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 _LN2 = math.log(2.0)
 # Upper-tail coefficient sqrt(2*(1 + ln 2)) shared by k2 and c_1.
@@ -40,16 +38,6 @@ _K2_COEFF = math.sqrt(2.0 * (1.0 + _LN2))
 # above the float resolution; from about N = 1e37, rounding alone sets the exponent and
 # overflows it.
 _N_LIMIT = 2**53
-
-
-_STANDARD_NORMAL = NormalDist()
-
-
-def q_inverse(p: float) -> float:
-    """Inverse of the normal tail Q(v) = P(Z > v) on (0, 1): -Phi^{-1}(p), from ``NormalDist``."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"q_inverse requires p in (0, 1), got {p!r}")
-    return -_STANDARD_NORMAL.inv_cdf(p)
 
 
 def c_o(epsilon_o: float) -> float:
@@ -63,9 +51,9 @@ def c_o(epsilon_o: float) -> float:
     if not 0.0 < epsilon_o <= 1.0:
         raise DomainError(f"c_o requires epsilon_o in (0, 1], got {epsilon_o!r}")
     if epsilon_o == 1.0:
-        return 2.0 * _SQRT_2_OVER_PI
+        return 2.0 * abs_moment()
     x_o = q_inverse((1.0 - epsilon_o) / 2.0)
-    return 2.0 * ((1.0 - math.exp(-0.5 * x_o * x_o)) / epsilon_o) * _SQRT_2_OVER_PI
+    return 2.0 * ((1.0 - math.exp(-0.5 * x_o * x_o)) / epsilon_o) * abs_moment()
 
 
 def k_o(epsilon_o: float) -> float:

@@ -19,9 +19,9 @@ from feedbeam import (
     epsilon_max,
     k_o,
     outage_bound,
-    q_inverse,
 )
 from feedbeam.bounds import _rate_numerator, _signal_thresholds
+from feedbeam.special import q_inverse
 
 
 def half_normal_pdf(x):

@@ -325,7 +325,7 @@ def test_library_run_checks_spec_and_flags(tmp_path, monkeypatch, spec_changes, 
 
 def test_package_exports_each_module_all():
     modules = [getattr(feedbeam, m) for m in ("bounds", "channel", "config", "errors", "markov",
-                                             "outage", "protocol", "rng", "training")]
+                                             "outage", "protocol", "rng", "special", "training")]
     declared = [(name, m) for m in modules for name in m.__all__]
     assert sorted(feedbeam.__all__) == sorted(name for name, _ in declared)
     assert len(set(feedbeam.__all__)) == len(feedbeam.__all__)

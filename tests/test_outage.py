@@ -21,10 +21,10 @@ from feedbeam import (
     sinr,
     train_ensemble,
 )
-from feedbeam.bounds import q_inverse
 from feedbeam.channel import link_amplitudes
 from feedbeam.cli import _json_text
-from feedbeam.outage import _idealized_amplitude, clopper_pearson
+from feedbeam.outage import _idealized_amplitude
+from feedbeam.special import clopper_pearson, q_inverse
 from feedbeam.util import TRAJ_CHUNK
 
 
