@@ -1,4 +1,4 @@
-"""Command-line front end: config loading, orchestration, serialization.
+"""Command-line front end: config loading and orchestration.
 
 An experiment is described by a JSON document::
 
@@ -20,40 +20,11 @@ way. The parser only parses: the spec and ``run`` hold every valid value
 and default, and ``main`` passes ``run`` only the flags given. A flag the
 parser cannot read is a ``ConfigError`` too, so ``main`` returns the code of
 any bad input with one JSON line on stderr and never raises; only
-``--help`` exits. Results are written atomically (temp file + rename, mode
-0o666 less the umask) and reruns with the same spec produce byte-identical
-artifacts at any worker count.
+``--help`` exits.
 
-A runner computes; it returns the column table its CSV is written from
-(``_table``: names mapped to contiguous typed 1-D arrays of one length), its
-JSON document and its summary lines. ``run`` alone picks the writer:
-``_json_text`` of the document or ``_csv_text`` of the rows. ``_jsonable``
-alone maps other values to JSON: a dataclass as its fields, a non-finite
-float as null, where CSV writes ``nan``/``inf``/``-inf``. One block writer,
-``_row_blocks``, writes a column table in both formats: in CSV one line per
-row, in JSON one object per row, keys sorted, indented as
-``json.dumps(indent=2, sort_keys=True)`` indents it at its depth in the
-document, with the same bytes. Every column is a typed array, and the writer
-picks one conversion per column from its dtype and the format: in CSV ``%d``
-for bools and integers, ``%.17g`` for floats and text as is; in JSON
-``true``/``false``, decimal integers, ``repr`` of a float or null, and
-``json.dumps`` of text. Each block of rows is built as bytes in numpy, with
-no Python string per cell or per row. A bool or integer column whose values
-span fewer values than one block has rows is read from a lookup table that
-formats each value from its minimum to its maximum once for the whole table.
-Any other column formats each distinct value of a block once: only the first
-row of each run of equal consecutive values is sorted and formatted, and its
-cell is repeated along the run, so a trace whose gain changes only at
-accepted frames formats and sorts few values. Floats are told apart by their
-bits, so ``-0.0`` and ``0.0`` keep their own cells. The cells and the
-constant pieces between them (a comma and a newline in CSV; keys, indents
-and braces in JSON) go into one fixed-width byte matrix, and one pass per
-block drops the NUL padding. So a CSV text cell that holds a NUL, or a lone
-surrogate with no UTF-8 form, is refused with exit 2; JSON escapes both.
-Each block is then decoded and appended to the one ``str`` of the artifact,
-which grows in place: the whole text is held once, plus one block's
-temporaries, and never also as bytes. A text cell that ends in NUL is
-refused in both formats, since a numpy text column cannot hold it. The
+A runner computes; it returns the column table its CSV is written from, its
+JSON document and its summary lines. ``run`` alone picks the writer of
+``artifact``: ``_json_text`` of the document or ``_csv_text`` of the rows. The
 columns of a per-N command are the fields of its result dataclass, in field
 order, and named extras: ``slope`` after ``ProbeRow``, ``N`` and ``M``
 before ``ProtocolReport`` and ``rate_assumed`` after it. JSON rows of
@@ -66,15 +37,14 @@ import dataclasses
 import inspect
 import json
 import math
-import os
-import re
 import sys
-import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
+from .artifact import FORMATS, UnwritablePathError, _atomic_write, _csv_text, _json_text
+from .artifact import _table, _Table
 from .bounds import BoundReport, epsilon_max, outage_bound
 from .config import NetworkConfig
 from .errors import CapacityError, ConfigError, FeedbeamError
@@ -90,8 +60,6 @@ __all__ = [
     "load_config", "loads_config", "serialize", "run", "main",
 ]
 
-FORMATS = ("csv", "json")
-
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
@@ -100,10 +68,6 @@ EXIT_UNWRITABLE = 4
 
 
 class UnknownCommandError(FeedbeamError):
-    pass
-
-
-class UnwritablePathError(FeedbeamError):
     pass
 
 
@@ -134,11 +98,11 @@ class ExperimentSpec:
             object.__setattr__(self, "sweep", tuple(self.sweep))
         if self.format is not None and self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
-        # A NUL cannot be in a file name; the OS calls would raise ValueError for it.
-        if self.output_path is not None and (
-            not isinstance(self.output_path, str) or "\0" in self.output_path
-        ):
-            raise ConfigError(f"output_path must be a string with no NUL, got {self.output_path!r}")
+        # A NUL cannot be in a file name; the OS calls would raise ValueError for it. An empty
+        # path names no file, and `resolved` would write the default one in its place.
+        out = self.output_path
+        if out is not None and (not isinstance(out, str) or not out or "\0" in out):
+            raise ConfigError(f"output_path must be a nonempty string with no NUL, got {out!r}")
         if self.command is None:
             return
         # Membership in the tuple, not the table: an unhashable command is unknown too.
@@ -220,297 +184,6 @@ def serialize(spec: ExperimentSpec) -> str:
         if value is not None:
             doc[key] = list(value) if key == "sweep" else value
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# serialization helpers
-
-
-# The cell conversion of each numpy dtype kind a column may have, per format.
-# CSV: "%.17g" % x == format(x, ".17g") for every float, a bool is its 0/1
-# and text its UTF-8 bytes. JSON: what json.dumps writes of the Python value,
-# a float by repr and a non-finite one as null, a bool as true/false and text
-# escaped to ASCII.
-_CELL = {
-    "csv": {
-        "b": "%d".__mod__,
-        "i": "%d".__mod__,
-        "u": "%d".__mod__,
-        "f": "%.17g".__mod__,
-        "U": str,
-    },
-    "json": {
-        "b": lambda v: "true" if v else "false",
-        "i": "%d".__mod__,
-        "u": "%d".__mod__,
-        "f": lambda x: repr(x) if math.isfinite(x) else "null",
-        "U": json.dumps,
-    },
-}
-# Rows per block of `_row_blocks`, and the span below which a bool or
-# integer column gets a lookup table. Beside the text, the writer holds one
-# block's cells, bytes and decoded text at a time. On the 512 000 rows of a
-# benchmark trace, blocks of 8192 to 32768 rows wrote CSV equally fast and
-# 65536 was slower. 16384 rows peaked 1-2 MB lower than 32768 as CSV and
-# about 15 MB lower as JSON, whose rows are four times wider; 8192 peaked
-# 9 MB higher at one seed of six (glibc heap layout) and would send a `t`
-# column of more than 8192 frames to the distinct path.
-_BLOCK_ROWS = 16384
-# Characters per slice of the text that `_atomic_write` encodes and writes.
-_WRITE_CHARS = 1 << 20
-# A NUL would go with the padding of the byte matrix, and a lone surrogate has
-# no UTF-8 bytes: no CSV cell may hold either. (The patterns are compiled on
-# first use, by `re`'s cache, and not at import.)
-_NOT_CSV_TEXT = r"[\x00\ud800-\udfff]"
-# Where json.dumps wrote the bare NaN that stands for a column table. No other
-# value of a `_jsonable` document is written as NaN, and inside a string NaN is
-# never followed by a raw newline or the end of the text.
-_RECORDS_MARK = r"NaN(?=,?\n|\Z)"
-
-
-class _Table:
-    """Named columns of one length: ``table[name]`` is a contiguous typed 1-D
-    array, ``names`` the column order and ``len(table)`` the row count."""
-
-    __slots__ = ("names", "_columns")
-
-    def __init__(self, columns: dict[str, np.ndarray]) -> None:
-        self.names, self._columns = tuple(columns), columns
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._columns[name]
-
-    def __len__(self) -> int:
-        return len(self._columns[self.names[0]])
-
-
-def _table(columns: Sequence[str], values: Sequence[Any]) -> _Table:
-    """Column table with one typed column per entry of ``values``: an array
-    keeps its dtype, and a list of cells becomes the array numpy makes of it.
-
-    A numpy text column drops a cell's trailing NULs, so a text cell that ends
-    in NUL is refused rather than written short.
-    """
-    arrays = {}
-    for name, v in zip(columns, values):
-        col = np.ascontiguousarray(v)
-        if col.dtype.kind == "U" and not isinstance(v, np.ndarray):
-            bad = [s for s in v if isinstance(s, str) and s.endswith("\0")]
-            if bad:
-                raise CapacityError(
-                    f"column {name!r} has a text cell ending in NUL, "
-                    f"which a text column cannot hold: {bad[0]!r}"
-                )
-        arrays[name] = col
-    if len({col.shape for col in arrays.values()}) != 1 or arrays[columns[0]].ndim != 1:
-        raise ValueError(f"columns must be 1-D and of one length: {list(columns)}")
-    return _Table(arrays)
-
-
-def _lookup(col: np.ndarray, conversion: Callable[[Any], str]) -> tuple[np.ndarray, Any] | None:
-    """The lookup table of an integer column whose values span fewer values
-    than one block has rows, and its minimum; None for any other column.
-
-    The table formats each value from the minimum to the maximum once, for
-    all the column's blocks.
-    """
-    if col.dtype.kind not in "iu" or len(col) == 0:
-        return None
-    lo, hi = int(col.min()), int(col.max())
-    if hi - lo >= min(len(col), _BLOCK_ROWS):
-        return None
-    return np.array([conversion(v).encode() for v in range(lo, hi + 1)]), col.dtype.type(lo)
-
-
-def _cells(
-    col: np.ndarray, conversion: Callable[[Any], str], lookup: tuple[np.ndarray, Any] | None
-) -> np.ndarray:
-    """The cells of one block of a column as a byte-string (`S`) array."""
-    if lookup is not None:
-        # Looked up at v - lo. The difference may wrap in the column's dtype,
-        # but its unsigned view of the same width is exact.
-        table, lo = lookup
-        return table.take((col - lo).view(f"u{col.itemsize}"))
-    # Each distinct value formatted once, found among the heads of the runs
-    # of equal consecutive keys only. Floats are told apart by their bits, so
-    # -0.0 and 0.0 keep their own cells.
-    keys = col.view(f"u{col.itemsize}") if col.dtype.kind == "f" else col
-    head = np.empty(len(keys), dtype=bool)
-    head[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    heads = np.flatnonzero(head)
-    _, first, inverse = np.unique(keys[heads], return_index=True, return_inverse=True)
-    table = np.array([conversion(x).encode() for x in col[heads[first]].tolist()])
-    return table.take(inverse).repeat(np.diff(heads, append=len(keys)))
-
-
-def _row_blocks(
-    rows: _Table, names: Sequence[str], fmt: str, pieces: Sequence[bytes]
-) -> Iterator[bytearray]:
-    """Each block of rows of ``rows`` as bytes, one row as ``pieces[0]``, the
-    cell of ``names[0]``, ``pieces[1]``, ..., the cell of ``names[-1]``,
-    ``pieces[-1]``.
-
-    Each column's conversion, and its `_lookup` table, is picked once from its
-    dtype and ``fmt``; a column of a kind without one is refused. Each block
-    of rows is built as bytes: the `_cells` of every column go between the
-    pieces into one fixed-width byte matrix, one matrix row per row, and one
-    pass drops the NUL padding. So no cell or piece may hold a NUL byte.
-    """
-    fields = []
-    for name in names:
-        col = rows[name]
-        if col.dtype.kind not in _CELL[fmt]:  # an integer beyond 64 bits makes objects
-            raise CapacityError(f"column {name!r} has no {fmt.upper()} cell type: {col.dtype}")
-        conversion = _CELL[fmt][col.dtype.kind]
-        if col.dtype.kind == "b":  # converted as its 0 or 1
-            col = col.view(np.uint8)
-        fields.append((col, conversion, _lookup(col, conversion)))
-    for lo in range(0, len(rows), _BLOCK_ROWS):
-        cells = [_cells(col[lo : lo + _BLOCK_ROWS], *field) for col, *field in fields]
-        n = len(cells[0])
-        widths = [c.itemsize for c in cells]
-        template = bytearray(b"".join(p + bytes(w) for p, w in zip(pieces, [*widths, 0])))
-        # One row of pieces repeated n times, as fast as a fill; a broadcast
-        # copy of the row into the matrix is several times slower.
-        block = template * n
-        start = 0
-        for piece, c in zip(pieces, cells):
-            start += len(piece)
-            # The column of the matrix as one strided `S` array: a copy of
-            # whole cells, twice as fast as a copy of a (n, itemsize) uint8 slice.
-            np.ndarray((n,), c.dtype, block, start, (len(template),))[...] = c
-            start += c.itemsize
-        packed = block.translate(None, b"\0")
-        del cells, block  # freed before the caller decodes the block
-        yield packed
-
-
-def _csv_text(rows: _Table) -> str:
-    """CSV text of the column table ``rows``.
-
-    A text cell that holds a NUL or has no UTF-8 form is refused.
-    """
-    columns = rows.names
-    for name in columns:
-        if rows[name].dtype.kind == "U":
-            bad = [s for s in np.unique(rows[name]).tolist() if re.search(_NOT_CSV_TEXT, s)]
-            if bad:
-                raise CapacityError(
-                    f"column {name!r} has a cell with a NUL or a lone surrogate, "
-                    f"which CSV cannot hold: {bad[0]!r}"
-                )
-    # The text is one local `str` that each decoded block is appended to.
-    # CPython grows a `str` that nothing else references in place, so the
-    # artifact is held once, plus one block's temporaries. (Were another
-    # reference to hold it, each `+=` would copy the whole text: quadratic in
-    # the blocks. CPython 3.11 grows it in place only once it has specialized
-    # the `+=`, about eight loop iterations into a process, so a first call
-    # copies the text at its first few blocks.)
-    text = ",".join(columns) + "\n"
-    for block in _row_blocks(rows, columns, "csv", [b"", *[b","] * (len(columns) - 1), b"\n"]):
-        text += block.decode()
-    return text
-
-
-def _record_blocks(rows: _Table, outer: str) -> Iterator[bytes | bytearray]:
-    """The column table ``rows`` in blocks of bytes, as ``json.dumps(indent=2,
-    sort_keys=True)`` writes a list of one object per row at the depth whose
-    indent is ``outer``."""
-    if len(rows) == 0:
-        yield b"[]"
-        return
-    names = sorted(rows.names)
-    item, field = outer + "  ", outer + "    "
-    keys = [json.dumps(name) + ": " for name in names]
-    pieces = [f"{item}{{\n{field}{keys[0]}", *(f",\n{field}{k}" for k in keys[1:])]
-    pieces.append(f"\n{item}}},\n")
-    yield b"[\n"
-    blocks = _row_blocks(rows, names, "json", [p.encode() for p in pieces])
-    last = next(blocks)
-    for block in blocks:
-        yield last
-        last = block
-    del last[-2:]  # the last object's ",\n", trimmed from the last block only
-    yield last
-    yield f"\n{outer}]".encode()
-
-
-def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return x if math.isfinite(x) else None
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
-    return obj
-
-
-def _json_text(doc: Any) -> str:
-    """``json.dumps(indent=2, sort_keys=True)`` of ``doc`` as `_jsonable` maps
-    it, with a column table as a list of one object per row.
-
-    json.dumps writes the document with a bare NaN in place of each column
-    table, and each one's rows are then appended at its depth, which is the
-    indent of the line its NaN is on.
-    """
-    records = []
-
-    def mark(obj: Any) -> float:  # json.dumps calls it in the order it writes
-        if not isinstance(obj, _Table):
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        records.append(obj)
-        return math.nan
-
-    dumped = json.dumps(_jsonable(doc), indent=2, sort_keys=True, default=mark)
-    pieces = re.split(_RECORDS_MARK, dumped)
-    # One local `str` that grows in place, as in `_csv_text`.
-    text = pieces[0]
-    for rows, before, after in zip(records, pieces, pieces[1:]):
-        line = before[before.rfind("\n") + 1 :]
-        for block in _record_blocks(rows, " " * (len(line) - len(line.lstrip(" ")))):
-            text += block.decode()
-        text += after
-    text += "\n"
-    return text
-
-
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file and a rename.
-
-    The text is encoded to UTF-8 in slices of `_WRITE_CHARS` characters, so
-    no second copy of the whole artifact is held. The artifact gets the mode
-    a plain ``open`` would give it, 0o666 less the umask, not the 0o600 of
-    the temp file.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)
-    os.umask(umask)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".feedbeam-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                os.fchmod(f.fileno(), 0o666 & ~umask)
-                for start in range(0, len(text), _WRITE_CHARS):
-                    f.write(text[start : start + _WRITE_CHARS].encode())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError as e:
-        raise UnwritablePathError(f"cannot write output file {path!r}: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +398,8 @@ def run(
     """Execute a spec, write its artifact, return the summary lines."""
     flags = _Flags(workers=workers, mode=mode, channel=channel)
     spec = spec.resolved()
+    if channel is not None and spec.command != "markov-verify":
+        raise ConfigError(f"--channel is for markov-verify only, not for command {spec.command!r}")
     rows, doc, summary = _TABLE[spec.command].runner(spec, flags)
     _atomic_write(spec.output_path, _json_text(doc) if spec.format == "json" else _csv_text(rows))
     return summary

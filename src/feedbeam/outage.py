@@ -110,7 +110,7 @@ def _outage_count(
     """Trials of one chunk of one-group networks whose link 0, among M groups, is in outage.
 
     A chunk that trains nothing (idealized weights) gets ``h`` as row blocks
-    (see ``training.network_chunk``), each reduced to its own-link amplitudes in place.
+    (see ``training._normal_blocks``), each reduced to its own-link amplitudes in place.
     """
     if trained is None:
         k = config.reverse_count

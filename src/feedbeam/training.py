@@ -253,7 +253,7 @@ def train_network(
     return train_ensemble(channels.h[m, m, :], config, stream, record_trace=True)
 
 
-def _row_blocks(
+def _normal_blocks(
     gen: np.random.Generator, size: int, shape: tuple[int, ...]
 ) -> Iterator[np.ndarray]:
     """``gen.standard_normal((size, *shape))`` as consecutive blocks of rows.
@@ -291,14 +291,14 @@ def network_chunk(
     ``sub`` is the ``chunk/{c}`` stream, for draws of the reducer's own.
 
     A chunk that trains nothing never holds its whole tensor: ``h`` is then
-    an iterator over its consecutive row blocks (see ``_row_blocks``), which
+    an iterator over its consecutive row blocks (see ``_normal_blocks``), which
     the reducer may overwrite, and ``trained`` is None.
     """
     sub = stream.child(f"chunk/{chunk_index}")
     gen = sub.child("channels").generator()
     shape = (config.M, config.M, config.N)
     if not train:
-        return reduce(config, _row_blocks(gen, size, shape), None, sub)
+        return reduce(config, _normal_blocks(gen, size, shape), None, sub)
     h = gen.standard_normal((size, *shape))
     # The own links h[:, i, i, :] are every (M + 1)-th of the M * M links: a view at M = 1.
     H = h.reshape(size, -1, config.N)[:, :: config.M + 1].reshape(-1, config.N)

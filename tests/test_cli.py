@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, from_dtype
 
 import feedbeam
+import feedbeam.artifact as artifact
 import feedbeam.cli as cli
 from feedbeam import (
     CapacityError,
@@ -29,23 +30,25 @@ from feedbeam import (
     epsilon_max,
     run_convergence,
 )
-from feedbeam.cli import (
+from feedbeam.artifact import (
     _BLOCK_ROWS,
     _CELL,
+    FORMATS,
+    _atomic_write,
+    _csv_text,
+    _json_text,
+    _Table,
+    _table,
+)
+from feedbeam.cli import (
     _TABLE,
     COMMANDS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_UNKNOWN_COMMAND,
     EXIT_UNWRITABLE,
-    FORMATS,
     ExperimentSpec,
-    _atomic_write,
-    _csv_text,
     _Flags,
-    _json_text,
-    _Table,
-    _table,
     load_config,
     loads_config,
     main,
@@ -209,7 +212,7 @@ def valid_specs(draw):
         command=command,
         config=config,
         sweep=None if sweep is None else tuple(sweep),
-        output_path=draw(st.none() | st.text().filter(lambda t: "\0" not in t)),
+        output_path=draw(st.none() | st.text(min_size=1).filter(lambda t: "\0" not in t)),
         format=draw(st.sampled_from([None, "csv", "json"])),
     )
 
@@ -321,6 +324,39 @@ def test_library_run_checks_spec_and_flags(tmp_path, monkeypatch, spec_changes, 
     assert list(tmp_path.iterdir()) == []
     run(spec)
     assert [p.name for p in tmp_path.iterdir()] == ["bounds.json"]
+
+
+@pytest.mark.parametrize("route", ["spec-file", "--out"])
+def test_empty_output_path_is_refused_before_any_write(tmp_path, monkeypatch, capsys, route):
+    # An empty path names no file: it is refused, not replaced by the default bounds.json.
+    monkeypatch.chdir(tmp_path)
+    doc = {"command": "bounds", **base_doc(M=2, N=50, epsilon_o=0.05)}
+    if route == "spec-file":
+        doc["output_path"] = ""
+    argv = ["--config", write_doc(tmp_path, doc), *(["--out", ""] if route == "--out" else [])]
+    for fmt in ([], ["--format", "csv"]):
+        assert main([*argv, *fmt]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "invalid-config"
+        assert err["message"] == "output_path must be a nonempty string with no NUL, got ''"
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+    with pytest.raises(ConfigError, match="nonempty"):
+        ExperimentSpec("bounds", NetworkConfig(**doc["config"]), output_path="")
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "markov-verify"])
+def test_channel_is_refused_by_every_command_but_markov_verify(tmp_path, capsys, command):
+    doc = {"command": command, **base_doc(M=2, N=3, epsilon_o=0.05, trials=4)}
+    out = tmp_path / "out"
+    argv = ["--config", write_doc(tmp_path, doc), "--out", str(out), "--channel", "1,2,3"]
+    assert main(argv) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "invalid-config",
+        "message": f"--channel is for markov-verify only, not for command {command!r}",
+    }
+    assert not out.exists()
 
 
 def test_package_exports_each_module_all():
@@ -1623,8 +1659,8 @@ def _json_doc(rows, depth):
 def test_json_writer_matches_the_reference_at_any_depth(data):
     # Blocks of 256 rows keep the three-block case small and fast; the
     # trace-size JSON pin in CI covers the full 32768-row block.
-    with mock.patch.object(cli, "_BLOCK_ROWS", 256):
-        n_rows = data.draw(st.sampled_from([0, 1, 2 * cli._BLOCK_ROWS + 3]))
+    with mock.patch.object(artifact, "_BLOCK_ROWS", 256):
+        n_rows = data.draw(st.sampled_from([0, 1, 2 * artifact._BLOCK_ROWS + 3]))
         names = data.draw(
             st.lists(st.sampled_from(_FIELD_NAMES), min_size=1, max_size=4, unique=True)
         )
@@ -1656,7 +1692,7 @@ def test_writers_hold_the_text_once(monkeypatch):
     # (quadratic in the blocks) and the peak would be twice the text too.
     # Small blocks keep the table small; a cold CPython 3.11 copies its first
     # few blocks, which forty blocks leave far below the text.
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1024)
+    monkeypatch.setattr(artifact, "_BLOCK_ROWS", 1024)
     n = 40 * 1024 - 3
     gen = np.random.default_rng(23)
     gain = np.repeat(gen.standard_normal(n // 16 + 1), 16)[:n]  # runs of 16
@@ -1773,7 +1809,7 @@ def test_convergence_artifacts_match_row_by_row_reference(tmp_path):
 
 
 def test_atomic_write_encodes_slices_across_multibyte_cells(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_WRITE_CHARS", 7)
+    monkeypatch.setattr(artifact, "_WRITE_CHARS", 7)
     pool = ["é", "ß b", "\u2603", "\U0001f600", "idealized", ""]
     cells = [pool[i] for i in np.random.default_rng(3).integers(0, len(pool), 200)]
     text = _csv_text(_table(["text", "code"], [cells, np.arange(200, dtype=np.uint8)]))
