@@ -11,9 +11,9 @@ its dtype and the format (`_CELL`), and each block of rows is built as bytes
 in numpy, with no Python string per cell or per row. Each block is then
 decoded and appended to the one ``str`` of the artifact, which grows in place:
 the whole text is held once, plus one block's temporaries, and never also as
-bytes. `_atomic_write` writes the text through a temp file and a rename, mode
-0o666 less the umask. Reruns with the same spec write byte-identical artifacts
-at any worker count.
+bytes. `_atomic_write` writes it through a temp file and a rename, mode 0o666
+less the umask, in slices that glibc reuses, as it reuses a block's memory.
+Reruns with the same spec write byte-identical artifacts at any worker count.
 """
 
 from __future__ import annotations
@@ -59,17 +59,18 @@ _CELL = {
     },
 }
 FORMATS = tuple(_CELL)
-# Rows per block of `_row_blocks`, and the span below which a bool or
-# integer column gets a lookup table. Beside the text, the writer holds one
-# block's cells, bytes and decoded text at a time. On the 512 000 rows of a
-# benchmark trace, blocks of 8192 to 32768 rows wrote CSV equally fast and
-# 65536 was slower. 16384 rows peaked 1-2 MB lower than 32768 as CSV and
-# about 15 MB lower as JSON, whose rows are four times wider; 8192 peaked
-# 9 MB higher at one seed of six (glibc heap layout) and would send a `t`
-# column of more than 8192 frames to the distinct path.
+# Rows per CSV block of `_row_blocks`, and the span below which a bool or
+# integer column gets a lookup table; the writer holds one block's cells,
+# bytes and text at a time. On a 512 000-row trace, 8192 to 32768 rows wrote
+# CSV equally fast; 16384 peaked 1-2 MB lower than 32768, and 8192 9 MB higher
+# at one seed of six and would send a `t` of over 8192 frames to the distinct
+# path. A JSON row is four times as wide, so a JSON block has a quarter of the
+# rows, about a CSV block's 0.55 MB; 16384 JSON rows peaked 9 MB higher.
 _BLOCK_ROWS = 16384
-# Characters per slice of the text that `_atomic_write` encodes and writes.
-_WRITE_CHARS = 1 << 20
+# Characters per slice that `_atomic_write` encodes and writes. glibc keeps
+# 2^16, 64 KiB as ASCII, on the heap; 2^20 faulted 7 800 pages in anew on the
+# trace CSV and took 19 ms to write it, against 6 ms.
+_WRITE_CHARS = 1 << 16
 # A NUL would go with the padding of the byte matrix, and a lone surrogate has
 # no UTF-8 bytes: no CSV cell may hold either. (The patterns are compiled on
 # first use, by `re`'s cache, and not at import.)
@@ -178,8 +179,9 @@ def _row_blocks(
         if col.dtype.kind == "b":  # converted as its 0 or 1
             col = col.view(np.uint8)
         fields.append((col, conversion, _lookup(col, conversion)))
-    for lo in range(0, len(rows), _BLOCK_ROWS):
-        cells = [_cells(col[lo : lo + _BLOCK_ROWS], *field) for col, *field in fields]
+    step = _BLOCK_ROWS // 4 if fmt == "json" else _BLOCK_ROWS
+    for lo in range(0, len(rows), step):
+        cells = [_cells(col[lo : lo + step], *field) for col, *field in fields]
         n = len(cells[0])
         widths = [c.itemsize for c in cells]
         template = bytearray(b"".join(p + bytes(w) for p, w in zip(pieces, [*widths, 0])))

@@ -400,6 +400,8 @@ def run(
     spec = spec.resolved()
     if channel is not None and spec.command != "markov-verify":
         raise ConfigError(f"--channel is for markov-verify only, not for command {spec.command!r}")
+    if mode != "idealized" and spec.command != "outage":
+        raise ConfigError(f"--mode {mode!r} is for outage only, not for command {spec.command!r}")
     rows, doc, summary = _TABLE[spec.command].runner(spec, flags)
     _atomic_write(spec.output_path, _json_text(doc) if spec.format == "json" else _csv_text(rows))
     return summary

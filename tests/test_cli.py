@@ -359,6 +359,26 @@ def test_channel_is_refused_by_every_command_but_markov_verify(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "outage"])
+def test_trained_mode_is_refused_by_every_command_but_outage(tmp_path, capsys, command):
+    n = 3 if command == "markov-verify" else 50  # the exact chain's size, or a bound's
+    doc = {"command": command, **base_doc(M=2, N=n, epsilon_o=0.05, trials=4)}
+    out = tmp_path / "out"
+    message = f"--mode 'trained' is for outage only, not for command {command!r}"
+    spec = dataclasses.replace(loads_config(json.dumps(doc)), output_path=str(out))
+    with pytest.raises(ConfigError) as refused:
+        run(spec, mode="trained")
+    assert str(refused.value) == message
+    argv = ["--config", write_doc(tmp_path, doc), "--out", str(out), "--mode", "trained"]
+    assert main(argv) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "invalid-config", "message": message}
+    assert not out.exists()
+    # The default mode is accepted by every command.
+    run(spec, mode="idealized")
+    assert out.exists()
+
+
 def test_package_exports_each_module_all():
     modules = [getattr(feedbeam, m) for m in ("bounds", "channel", "config", "errors", "markov",
                                              "outage", "protocol", "rng", "special", "training")]
@@ -1657,8 +1677,8 @@ def _json_doc(rows, depth):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_json_writer_matches_the_reference_at_any_depth(data):
-    # Blocks of 256 rows keep the three-block case small and fast; the
-    # trace-size JSON pin in CI covers the full 32768-row block.
+    # Blocks of 256 rows, 64 as JSON, keep the many-block case small and fast;
+    # the trace-size JSON pin in CI covers the full 4096-row JSON block.
     with mock.patch.object(artifact, "_BLOCK_ROWS", 256):
         n_rows = data.draw(st.sampled_from([0, 1, 2 * artifact._BLOCK_ROWS + 3]))
         names = data.draw(
@@ -1714,6 +1734,40 @@ def test_writers_hold_the_text_once(monkeypatch):
         assert peak < 1.5 * len(text), (write.__name__, peak / len(text))
         assert text == reference(), write.__name__
         del text
+
+
+def test_row_blocks_of_a_trace_stay_near_one_mib(monkeypatch):
+    # The columns of a `convergence` trace in its dtypes, as `_cmd_convergence`
+    # makes them, over two block edges. A JSON row is four times as wide as a
+    # CSV row; its blocks stay near the bytes of a CSV block all the same.
+    trials, groups, frames = 40, 2, 410
+    gen = np.random.default_rng(29)
+    gain = np.repeat(gen.standard_normal(trials * groups * frames // 8) * 50, 8)
+    n = len(gain)
+    assert n > 2 * _BLOCK_ROWS
+    names = ("trial", "group", "t", "gain", "aligned_count", "accepted")
+    rows = _table(
+        names,
+        [
+            np.repeat(np.arange(trials, dtype=np.uint8), groups * frames),
+            np.tile(np.repeat(np.arange(groups, dtype=np.uint8), frames), trials),
+            np.tile(np.arange(frames, dtype=np.uint16), trials * groups),
+            gain,
+            gen.integers(0, 101, n).astype(np.uint8),
+            gen.random(n) < 0.06,
+        ],
+    )
+    csv_pieces = [b"", *[b","] * (len(names) - 1), b"\n"]
+    csv_blocks = [bytes(b) for b in artifact._row_blocks(rows, names, "csv", csv_pieces)]
+    json_blocks = [bytes(b) for b in artifact._record_blocks(rows, "")]
+    assert b"".join(csv_blocks).decode() == _csv_text(rows).split("\n", 1)[1]
+    assert b"".join(json_blocks).decode() + "\n" == _json_text(rows)
+    assert len(csv_blocks) == 3 and max(map(len, csv_blocks)) <= 1 << 20
+    assert max(map(len, json_blocks)) <= 1 << 20
+    # The block size the writer tests patch in still puts JSON rows on both
+    # sides of a block edge: the brackets, then more than one block of rows.
+    monkeypatch.setattr(artifact, "_BLOCK_ROWS", 256)
+    assert len(list(artifact._record_blocks(_table(["x"], [np.arange(515)]), ""))) > 3
 
 
 _RUNNER_CASES = {
@@ -1819,6 +1873,26 @@ def test_atomic_write_encodes_slices_across_multibyte_cells(tmp_path, monkeypatc
     out = tmp_path / "text.csv"
     _atomic_write(str(out), text)
     assert out.read_bytes() == text.encode("utf-8")
+
+
+def test_atomic_write_writes_a_trace_size_text_in_slices_of_at_most_128_kib(
+    tmp_path, monkeypatch
+):
+    # glibc maps a buffer of more than 128 KiB and hands it back when it is
+    # freed, so a write in larger slices faults every slice in anew.
+    sizes = []
+
+    class Spy(io.BufferedWriter):
+        def write(self, data):
+            sizes.append(len(data))
+            return super().write(data)
+
+    monkeypatch.setattr(artifact.os, "fdopen", lambda fd, mode: Spy(io.FileIO(fd, mode)))
+    text = "127,1,999,-12.345678901234567,57,1\n" * 500_000  # 17 MB, as the benchmark trace
+    out = tmp_path / "trace.csv"
+    _atomic_write(str(out), text)
+    assert len(sizes) > 100 and max(sizes) <= 128 * 1024
+    assert out.read_bytes() == text.encode()
 
 
 def test_artifact_mode_follows_umask(tmp_path):
